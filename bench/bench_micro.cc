@@ -11,6 +11,7 @@
 #include "common/random.h"
 #include "crypto/aead.h"
 #include "crypto/chacha20.h"
+#include "crypto/impl.h"
 #include "crypto/sha256.h"
 #include "gdpr/record.h"
 #include "kvstore/db.h"
@@ -55,6 +56,10 @@ void BM_AeadSealOpen(benchmark::State& state) {
     benchmark::DoNotOptimize(opened);
   }
   state.SetBytesProcessed(int64_t(state.iterations()) * state.range(0));
+  // The paths the CPU dispatch chose: a figure from a CPU without SHA-NI
+  // or AVX2 measures the scalar code and reads as such.
+  state.SetLabel(std::string("sha256=") + crypto_impl::SelectedSha256Name() +
+                 " chacha20=" + crypto_impl::SelectedChaCha20Name());
 }
 BENCHMARK(BM_AeadSealOpen)->Arg(100)->Arg(1024);
 

@@ -1,5 +1,5 @@
 // ClusterGdprStore: a slot-partitioned multi-node GDPR store. N homogeneous
-// nodes, each a full KvGdprStore (records, secondary indexes, TTL heap,
+// nodes, each a full KvGdprStore (records, secondary indexes, TTL queue,
 // tombstones, and its own hash-chained audit log), fronted by a router that
 // implements gdpr::GdprStore — every bench, example, and test that takes a
 // GdprStore runs unmodified against a cluster.

@@ -20,15 +20,20 @@ bool ConstantTimeEqual(const uint8_t* a, const uint8_t* b, size_t n) {
   return acc == 0;
 }
 
+// SHA-256(label || key_material): one 32-byte subkey per purpose.
+std::string DeriveKey(std::string_view label, std::string_view key_material) {
+  Sha256 h;
+  h.Update(label);
+  h.Update(key_material);
+  const Sha256::Digest d = h.Finish();
+  return std::string(reinterpret_cast<const char*>(d.data()), d.size());
+}
+
 }  // namespace
 
-Aead::Aead(std::string_view key_material) {
-  const Sha256::Digest ek =
-      Sha256::Hash(std::string("aead-enc\x01") + std::string(key_material));
-  memcpy(enc_key_, ek.data(), 32);
-  const Sha256::Digest mk =
-      Sha256::Hash(std::string("aead-mac\x02") + std::string(key_material));
-  mac_key_.assign(reinterpret_cast<const char*>(mk.data()), 32);
+Aead::Aead(std::string_view key_material)
+    : mac_(DeriveKey("aead-mac\x02", key_material)) {
+  memcpy(enc_key_, DeriveKey("aead-enc\x01", key_material).data(), 32);
 }
 
 std::string Aead::Seal(std::string_view plaintext, uint64_t seq) const {
@@ -42,8 +47,8 @@ std::string Aead::Seal(std::string_view plaintext, uint64_t seq) const {
   ChaCha20 cipher(enc_key_, nonce, /*counter=*/1);
   cipher.Process(reinterpret_cast<uint8_t*>(out.data()) + 8, plaintext.size());
 
-  const Sha256::Digest tag = HmacSha256(
-      mac_key_, std::string_view(out.data(), 8 + plaintext.size()));
+  const Sha256::Digest tag =
+      mac_.Mac(std::string_view(out.data(), 8 + plaintext.size()));
   memcpy(out.data() + 8 + plaintext.size(), tag.data(), 16);
   return out;
 }
@@ -53,8 +58,7 @@ StatusOr<std::string> Aead::Open(std::string_view sealed) const {
     return Status::DataLoss("sealed blob too short");
   }
   const size_t ct_len = sealed.size() - kOverhead;
-  const Sha256::Digest tag =
-      HmacSha256(mac_key_, sealed.substr(0, 8 + ct_len));
+  const Sha256::Digest tag = mac_.Mac(sealed.substr(0, 8 + ct_len));
   if (!ConstantTimeEqual(
           tag.data(),
           reinterpret_cast<const uint8_t*>(sealed.data()) + 8 + ct_len, 16)) {

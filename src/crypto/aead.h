@@ -1,7 +1,10 @@
 // Authenticated encryption: ChaCha20 + HMAC-SHA256 (encrypt-then-MAC).
 // This is the at-rest encryption primitive the GDPR retrofit pays for on
 // every data touch. Seal is deterministic given (key, seq, plaintext); the
-// caller supplies a unique sequence number per message (nonce).
+// caller supplies a unique sequence number per message (nonce). The HMAC
+// key schedule is computed once per Aead; ChaCha20 and SHA-256 run on the
+// fastest implementation the CPU supports (crypto/impl.h), byte-identical
+// to the portable code.
 
 #pragma once
 
@@ -10,6 +13,7 @@
 #include <string_view>
 
 #include "common/status.h"
+#include "crypto/sha256.h"
 
 namespace gdpr {
 
@@ -30,7 +34,8 @@ class Aead {
 
  private:
   uint8_t enc_key_[32];
-  std::string mac_key_;
+  // The MAC key's HMAC inner and outer states, absorbed once.
+  HmacSha256Key mac_;
 };
 
 }  // namespace gdpr

@@ -1,5 +1,6 @@
 // ChaCha20 stream cipher (RFC 8439). Process() XORs the keystream over a
-// buffer in place, so encryption and decryption are the same call.
+// buffer in place, so encryption and decryption are the same call. Whole
+// blocks run on AVX2, four at a time, where the CPU has it (crypto/impl.h).
 
 #pragma once
 
@@ -20,11 +21,11 @@ class ChaCha20 {
   void Process(uint8_t* data, size_t len);
 
  private:
-  void NextBlock();
-
-  uint32_t state_[16];
+  uint32_t state_[16];  // state_[12] is the next block's counter
+  // Keystream of the last, partly used block; bytes before block_pos_
+  // are spent. 64 means no partial block is pending.
   uint8_t block_[64];
-  size_t block_pos_ = 64;  // forces block generation on first use
+  size_t block_pos_ = 64;
 };
 
 }  // namespace gdpr

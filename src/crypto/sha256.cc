@@ -2,6 +2,13 @@
 
 #include <cstring>
 
+#include "crypto/impl.h"
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#define GDPR_CRYPTO_X86 1
+#endif
+
 namespace gdpr {
 
 namespace {
@@ -23,37 +30,132 @@ inline uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
 }  // namespace
 
+namespace crypto_impl {
+
+void Sha256CompressScalar(uint32_t h[8], const uint8_t* blocks,
+                          size_t nblocks) {
+  for (; nblocks > 0; --nblocks, blocks += 64) {
+    uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (uint32_t(blocks[4 * i]) << 24) |
+             (uint32_t(blocks[4 * i + 1]) << 16) |
+             (uint32_t(blocks[4 * i + 2]) << 8) | uint32_t(blocks[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      const uint32_t s0 =
+          Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const uint32_t s1 =
+          Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+    uint32_t a = h[0], b = h[1], c = h[2], d = h[3];
+    uint32_t e = h[4], f = h[5], g = h[6], hh = h[7];
+    for (int i = 0; i < 64; ++i) {
+      const uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
+      const uint32_t ch = (e & f) ^ (~e & g);
+      const uint32_t t1 = hh + s1 + ch + kK[i] + w[i];
+      const uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
+      const uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const uint32_t t2 = s0 + maj;
+      hh = g; g = f; f = e; e = d + t1;
+      d = c; c = b; b = a; a = t1 + t2;
+    }
+    h[0] += a; h[1] += b; h[2] += c; h[3] += d;
+    h[4] += e; h[5] += f; h[6] += g; h[7] += hh;
+  }
+}
+
+#ifdef GDPR_CRYPTO_X86
+
+// Intel SHA extensions. The state lives in two registers as ABEF and CDGH
+// (the layout sha256rnds2 wants); each sha256rnds2 runs two rounds, and
+// sha256msg1/msg2 extend the message schedule four words at a time.
+__attribute__((target("sha,sse4.1"))) void Sha256CompressShaNi(
+    uint32_t h[8], const uint8_t* blocks, size_t nblocks) {
+  const __m128i kByteSwap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(h));
+  __m128i s1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(h + 4));
+  tmp = _mm_shuffle_epi32(tmp, 0xB1);           // CDAB
+  s1 = _mm_shuffle_epi32(s1, 0x1B);             // EFGH
+  __m128i s0 = _mm_alignr_epi8(tmp, s1, 8);     // ABEF
+  s1 = _mm_blend_epi16(s1, tmp, 0xF0);          // CDGH
+
+  for (; nblocks > 0; --nblocks, blocks += 64) {
+    const __m128i abef = s0;
+    const __m128i cdgh = s1;
+    // w[i & 3] holds message words 4i..4i+3 while quad i is consumed.
+    __m128i w[4];
+    for (int i = 0; i < 4; ++i) {
+      w[i] = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16 * i)),
+          kByteSwap);
+    }
+#pragma GCC unroll 16
+    for (int i = 0; i < 16; ++i) {
+      const __m128i k =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK + 4 * i));
+      __m128i m = _mm_add_epi32(w[i & 3], k);
+      s1 = _mm_sha256rnds2_epu32(s1, s0, m);
+      m = _mm_shuffle_epi32(m, 0x0E);
+      s0 = _mm_sha256rnds2_epu32(s0, s1, m);
+      if (i < 12) {
+        // W[t] = W[t-16] + s0(W[t-15]) + W[t-7] + s1(W[t-2]) for quad i+4.
+        __m128i next = _mm_sha256msg1_epu32(w[i & 3], w[(i + 1) & 3]);
+        next = _mm_add_epi32(
+            next, _mm_alignr_epi8(w[(i + 3) & 3], w[(i + 2) & 3], 4));
+        w[i & 3] = _mm_sha256msg2_epu32(next, w[(i + 3) & 3]);
+      }
+    }
+    s0 = _mm_add_epi32(s0, abef);
+    s1 = _mm_add_epi32(s1, cdgh);
+  }
+
+  tmp = _mm_shuffle_epi32(s0, 0x1B);            // FEBA
+  s1 = _mm_shuffle_epi32(s1, 0xB1);             // DCHG
+  s0 = _mm_blend_epi16(tmp, s1, 0xF0);          // DCBA
+  s1 = _mm_alignr_epi8(s1, tmp, 8);             // HGFE
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(h), s0);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(h + 4), s1);
+}
+
+bool HasShaNi() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1");
+}
+
+#else
+
+void Sha256CompressShaNi(uint32_t h[8], const uint8_t* blocks,
+                         size_t nblocks) {
+  Sha256CompressScalar(h, blocks, nblocks);  // never selected off x86
+}
+
+bool HasShaNi() { return false; }
+
+#endif  // GDPR_CRYPTO_X86
+
+Sha256CompressFn SelectedSha256Compress() {
+  static const Sha256CompressFn fn =
+      HasShaNi() ? Sha256CompressShaNi : Sha256CompressScalar;
+  return fn;
+}
+
+const char* SelectedSha256Name() {
+  return SelectedSha256Compress() == Sha256CompressShaNi ? "sha-ni"
+                                                         : "scalar";
+}
+
+}  // namespace crypto_impl
+
 Sha256::Sha256() {
   h_[0] = 0x6a09e667; h_[1] = 0xbb67ae85; h_[2] = 0x3c6ef372;
   h_[3] = 0xa54ff53a; h_[4] = 0x510e527f; h_[5] = 0x9b05688c;
   h_[6] = 0x1f83d9ab; h_[7] = 0x5be0cd19;
 }
 
-void Sha256::Compress(const uint8_t block[64]) {
-  uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (uint32_t(block[4 * i]) << 24) | (uint32_t(block[4 * i + 1]) << 16) |
-           (uint32_t(block[4 * i + 2]) << 8) | uint32_t(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    const uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-  uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3];
-  uint32_t e = h_[4], f = h_[5], g = h_[6], h = h_[7];
-  for (int i = 0; i < 64; ++i) {
-    const uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
-    const uint32_t ch = (e & f) ^ (~e & g);
-    const uint32_t t1 = h + s1 + ch + kK[i] + w[i];
-    const uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
-    const uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const uint32_t t2 = s0 + maj;
-    h = g; g = f; f = e; e = d + t1;
-    d = c; c = b; b = a; a = t1 + t2;
-  }
-  h_[0] += a; h_[1] += b; h_[2] += c; h_[3] += d;
-  h_[4] += e; h_[5] += f; h_[6] += g; h_[7] += h;
+void Sha256::Compress(const uint8_t* blocks, size_t nblocks) {
+  crypto_impl::SelectedSha256Compress()(h_, blocks, nblocks);
 }
 
 void Sha256::Update(const void* data, size_t len) {
@@ -66,14 +168,14 @@ void Sha256::Update(const void* data, size_t len) {
     p += take;
     len -= take;
     if (buf_len_ == 64) {
-      Compress(buf_);
+      Compress(buf_, 1);
       buf_len_ = 0;
     }
   }
-  while (len >= 64) {
-    Compress(p);
-    p += 64;
-    len -= 64;
+  if (len >= 64) {
+    Compress(p, len / 64);
+    p += len & ~size_t(63);
+    len &= 63;
   }
   if (len > 0) {
     memcpy(buf_, p, len);
@@ -113,7 +215,7 @@ std::string Sha256::HexDigest(std::string_view data) {
   return ToHex(Hash(data));
 }
 
-Sha256::Digest HmacSha256(std::string_view key, std::string_view message) {
+HmacSha256Key::HmacSha256Key(std::string_view key) {
   uint8_t k[64];
   memset(k, 0, sizeof(k));
   if (key.size() > 64) {
@@ -127,14 +229,21 @@ Sha256::Digest HmacSha256(std::string_view key, std::string_view message) {
     ipad[i] = k[i] ^ 0x36;
     opad[i] = k[i] ^ 0x5c;
   }
-  Sha256 inner;
-  inner.Update(ipad, 64);
+  inner_.Update(ipad, 64);
+  outer_.Update(opad, 64);
+}
+
+Sha256::Digest HmacSha256Key::Mac(std::string_view message) const {
+  Sha256 inner = inner_;
   inner.Update(message);
   const Sha256::Digest id = inner.Finish();
-  Sha256 outer;
-  outer.Update(opad, 64);
+  Sha256 outer = outer_;
   outer.Update(id.data(), id.size());
   return outer.Finish();
+}
+
+Sha256::Digest HmacSha256(std::string_view key, std::string_view message) {
+  return HmacSha256Key(key).Mac(message);
 }
 
 }  // namespace gdpr

@@ -1,5 +1,6 @@
 // SHA-256 (FIPS 180-4) with a streaming interface, plus HMAC-SHA256 for the
-// AEAD tag and the audit log's tamper-evident hash chain.
+// AEAD tag and the audit log's tamper-evident hash chain. The compression
+// function runs on SHA-NI where the CPU has it (crypto/impl.h).
 
 #pragma once
 
@@ -29,7 +30,8 @@ class Sha256 {
   static std::string ToHex(const Digest& d);
 
  private:
-  void Compress(const uint8_t block[64]);
+  // Compresses `nblocks` consecutive 64-byte blocks into h_.
+  void Compress(const uint8_t* blocks, size_t nblocks);
 
   uint32_t h_[8];
   uint64_t total_len_ = 0;
@@ -39,5 +41,18 @@ class Sha256 {
 
 // HMAC-SHA256(key, message).
 Sha256::Digest HmacSha256(std::string_view key, std::string_view message);
+
+// HMAC-SHA256 under one fixed key. The keyed inner and outer states (the
+// ipad and opad blocks) are absorbed once, here; each Mac() resumes from
+// them, which saves two compressions per message over HmacSha256().
+class HmacSha256Key {
+ public:
+  explicit HmacSha256Key(std::string_view key);
+  Sha256::Digest Mac(std::string_view message) const;
+
+ private:
+  Sha256 inner_;
+  Sha256 outer_;
+};
 
 }  // namespace gdpr

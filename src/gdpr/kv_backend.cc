@@ -129,9 +129,9 @@ void KvGdprStore::IndexAdd(const GdprRecord& record) {
       added += tp.size() + record.key.size() + 16;
     }
   }
-  if (record.metadata.expiry_micros != 0) {
-    ttl_heap_.push(TtlItem{record.metadata.expiry_micros, record.key});
-    ttl_backlog_.store(ttl_heap_.size(), std::memory_order_relaxed);
+  if (record.metadata.expiry_micros != 0 &&
+      ttl_queue_.emplace(record.metadata.expiry_micros, record.key).second) {
+    ttl_backlog_.store(ttl_queue_.size(), std::memory_order_relaxed);
     added += record.key.size() + 16;
   }
   index_bytes_.store(index_bytes_.load(std::memory_order_relaxed) + added,
@@ -154,9 +154,13 @@ void KvGdprStore::IndexRemove(const GdprRecord& record) {
       dropped += tp.size() + record.key.size() + 16;
     }
   }
+  if (record.metadata.expiry_micros != 0 &&
+      ttl_queue_.erase({record.metadata.expiry_micros, record.key}) > 0) {
+    ttl_backlog_.store(ttl_queue_.size(), std::memory_order_relaxed);
+    dropped += record.key.size() + 16;
+  }
   const size_t cur = index_bytes_.load(std::memory_order_relaxed);
   index_bytes_.store(cur - std::min(cur, dropped), std::memory_order_relaxed);
-  // Stale TTL heap entries are skipped at pop time.
 }
 
 Status KvGdprStore::EraseRecord(const GdprRecord& record) {
@@ -533,24 +537,27 @@ StatusOr<size_t> KvGdprStore::DeleteExpiredRecords(const Actor& actor) {
   const int64_t now = NowMicros();
   size_t reclaimed = 0;
   if (indexing()) {
-    // An unreadable record never made it into the TTL heap; its expiry is
+    // An unreadable record never made it into the TTL queue; its expiry is
     // unknowable and this sweep cannot honestly claim completeness.
     Status health = CollectionStatus(index_unreadable_records_);
     if (!health.ok()) {
       Audit(actor, ops::kDeleteExpired, "", false);
       return health;
     }
-    // O(expired): drain the TTL heap, skipping stale entries.
+    // O(expired): pop due entries off the TTL queue, earliest first.
     for (;;) {
       std::string key;
       int64_t expiry = 0;
       {
         std::lock_guard<std::mutex> l(idx_writer_mu_);
-        if (ttl_heap_.empty() || ttl_heap_.top().expiry_micros > now) break;
-        key = ttl_heap_.top().key;
-        expiry = ttl_heap_.top().expiry_micros;
-        ttl_heap_.pop();
-        ttl_backlog_.store(ttl_heap_.size(), std::memory_order_relaxed);
+        if (ttl_queue_.empty() || ttl_queue_.begin()->first > now) break;
+        auto node = ttl_queue_.extract(ttl_queue_.begin());
+        expiry = node.value().first;
+        key = std::move(node.value().second);
+        ttl_backlog_.store(ttl_queue_.size(), std::memory_order_relaxed);
+        const size_t cur = index_bytes_.load(std::memory_order_relaxed);
+        index_bytes_.store(cur - std::min(cur, key.size() + 16),
+                           std::memory_order_relaxed);
       }
       std::lock_guard<std::mutex> key_lock(KeyMutex(key));
       auto rec = GetRecordRaw(key);
@@ -560,8 +567,8 @@ StatusOr<size_t> KvGdprStore::DeleteExpiredRecords(const Actor& actor) {
         Audit(actor, ops::kDeleteExpired, "", false);
         return rec.status();
       }
-      // TTL rewritten since this heap entry was pushed -> a newer entry
-      // covers it.
+      // TTL rewritten since this entry was popped -> the upsert queued a
+      // newer entry.
       if (rec.value().metadata.expiry_micros != expiry) continue;
       Status s = EraseRecord(rec.value());
       if (!s.ok()) {
@@ -752,7 +759,7 @@ Status KvGdprStore::Reset() {
     by_user_.Clear();
     by_purpose_.Clear();
     by_sharing_.Clear();
-    while (!ttl_heap_.empty()) ttl_heap_.pop();
+    ttl_queue_.clear();
     ttl_backlog_.store(0, std::memory_order_relaxed);
     index_bytes_.store(0, std::memory_order_relaxed);
   }

@@ -5,8 +5,8 @@
 // has expired) are O(n) scan-parse-filter passes on a plain KV store — the
 // linear walls in Fig 5a/7b. With compliance.metadata_indexing enabled this
 // store maintains secondary indexes (user -> keys, purpose -> keys,
-// sharing -> keys, and a TTL min-heap), turning those same queries into
-// indexed lookups; bench_index_fastpath measures the gap.
+// sharing -> keys, and a deadline-ordered TTL queue), turning those same
+// queries into indexed lookups; bench_index_fastpath measures the gap.
 //
 // Read fast path: every record fetch here bottoms out in MemKV's
 // epoch-protected lock-free Get, and the secondary indexes themselves are
@@ -25,8 +25,9 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <queue>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gdpr/store.h"
@@ -136,14 +137,6 @@ class KvGdprStore : public GdprStore {
   void ClearTombstone(const std::string& key);
 
  private:
-  struct TtlItem {
-    int64_t expiry_micros;
-    std::string key;
-    bool operator>(const TtlItem& o) const {
-      return expiry_micros > o.expiry_micros;
-    }
-  };
-
   bool indexing() const { return options_.compliance.metadata_indexing; }
   int64_t NowMicros() { return clock_->NowMicros(); }
 
@@ -222,7 +215,7 @@ class KvGdprStore : public GdprStore {
 
   // Secondary indexes, readable with no lock at all: readers pin an epoch
   // and walk the posting chains. This narrow mutex serializes only index
-  // *mutation* (IndexAdd/IndexRemove, TTL-heap pushes and pops, Reset) —
+  // *mutation* (IndexAdd/IndexRemove, TTL-queue inserts and pops, Reset) —
   // no read path acquires it. The per-key mutexes above already order
   // same-key index updates against each other; this one orders cross-key
   // writers inside the shared posting structures.
@@ -230,8 +223,10 @@ class KvGdprStore : public GdprStore {
   kv::EpochPostingMap by_user_;
   kv::EpochPostingMap by_purpose_;
   kv::EpochPostingMap by_sharing_;
-  std::priority_queue<TtlItem, std::vector<TtlItem>, std::greater<TtlItem>>
-      ttl_heap_;  // guarded by idx_writer_mu_
+  // (expiry, key) of every indexed record that carries an expiry, earliest
+  // deadline first. IndexRemove erases the entry exactly, so the queue
+  // holds one entry per live record however often expiries are rewritten.
+  std::set<std::pair<int64_t, std::string>> ttl_queue_;  // idx_writer_mu_
   // Mirrors of writer-side accounting, atomically readable by gauges and
   // TotalBytes without touching idx_writer_mu_.
   std::atomic<size_t> ttl_backlog_{0};

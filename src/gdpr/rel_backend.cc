@@ -186,13 +186,11 @@ StatusOr<size_t> RelGdprStore::RemoveKey(const std::string& key,
   auto deleted = db_->Delete(
       records_, rel::Compare(kKey, rel::CompareOp::kEq, kv, "key"));
   if (!deleted.ok()) return deleted.status();
-  if (purpose_idx_) {
-    db_->Delete(purpose_idx_, rel::Compare(1, rel::CompareOp::kEq, kv, "key"))
-        .ok();
-  }
-  if (sharing_idx_) {
-    db_->Delete(sharing_idx_, rel::Compare(1, rel::CompareOp::kEq, kv, "key"))
-        .ok();
+  for (rel::Table* join : {purpose_idx_, sharing_idx_}) {
+    if (!join) continue;
+    auto unjoined =
+        db_->Delete(join, rel::Compare(1, rel::CompareOp::kEq, kv, "key"));
+    if (!unjoined.ok()) return unjoined.status();
   }
   const size_t n = deleted.value();
   if (tombstone && n > 0) {
@@ -223,16 +221,19 @@ Status RelGdprStore::PutRecord(const GdprRecord& rec) {
   // flag is on. The tables themselves always exist (see Open).
   if (indexing()) {
     for (const auto& p : rec.metadata.purposes) {
-      db_->Insert(purpose_idx_, {rel::Value(p), rel::Value(rec.key)}).ok();
+      s = db_->Insert(purpose_idx_, {rel::Value(p), rel::Value(rec.key)});
+      if (!s.ok()) return s;
     }
     for (const auto& tp : rec.metadata.shared_with) {
-      db_->Insert(sharing_idx_, {rel::Value(tp), rel::Value(rec.key)}).ok();
+      s = db_->Insert(sharing_idx_, {rel::Value(tp), rel::Value(rec.key)});
+      if (!s.ok()) return s;
     }
   }
-  db_->Delete(tombstones_,
-              rel::Compare(0, rel::CompareOp::kEq, rel::Value(rec.key), "key"))
-      .ok();
-  return Status::OK();
+  // A re-created key is live again: drop its erasure evidence (deleting
+  // no row is fine).
+  return db_->Delete(tombstones_, rel::Compare(0, rel::CompareOp::kEq,
+                                               rel::Value(rec.key), "key"))
+      .status();
 }
 
 std::vector<GdprRecord> RelGdprStore::CollectWhere(

@@ -197,6 +197,12 @@ class MemKV {
   // completions). Lets ErasureBarrier decide which erasures a completed
   // pass is guaranteed to have covered.
   uint64_t AofRewriteStarts() const { return aof_rewrite_starts_.load(); }
+  // Testing/introspection: AOF frames whose batch the committer has not yet
+  // retired. A Set is acked before its batch's timed-sync check runs; once
+  // this reads 0, that check is done.
+  size_t AofQueuedFrames() const {
+    return pipeline_->QueuedFrames(aof_target_);
+  }
 
   // --- Erasure-tombstone registry ------------------------------------------
   // Evidence that a key was GDPR-erased. Persisted in the AOF ('T' add /

@@ -369,6 +369,10 @@ TEST(CommitPipeline, EverySecCrashLosesAtMostTheUnsyncedTail) {
     ASSERT_TRUE(db.Open().ok());
 
     ASSERT_TRUE(db.Set("k1", "alpha-payload-1").ok());
+    // The ack fires before k1's batch runs its timed-sync check: let the
+    // batch retire first, or the clock advance below can make k1 take the
+    // timed sync alone, leaving k2 inside a fresh interval, never synced.
+    ASSERT_TRUE(WaitFor([&] { return db.AofQueuedFrames() == 0; }));
     clock.AdvanceSeconds(2);
     // This Set's batch triggers the committer's timed sync, flushing k1+k2
     // through FaultEnv's write buffer to the base MemEnv.

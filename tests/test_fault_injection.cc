@@ -317,6 +317,55 @@ TEST(FaultSweep, RelStatementLogFocused) {
   RunSweep(spec);
 }
 
+// ---- relational record writes propagate every statement's failure ---------
+
+// A record write on the relational backend is several statements: the row,
+// one join row per purpose and per sharing party, and the tombstone delete.
+// A WAL fault in any of them must fail CreateRecord, never leave the record
+// out of its purpose or sharing index behind an OK.
+TEST(RelFaults, FailedJoinRowWriteFailsCreateRecord) {
+  GdprRecord rec;
+  rec.key = "k-joined";
+  rec.data = "payload";
+  rec.metadata.user = "neo";
+  rec.metadata.purposes = {"ads", "billing"};
+  rec.metadata.shared_with = {"acme"};
+  rec.metadata.origin = "first-party";
+  // Discovery: the failable ops one CreateRecord issues.
+  uint64_t first = 0, last = 0;
+  {
+    MemEnv mem;
+    FaultEnv fenv(&mem, kSeed);
+    auto store = MakeRelStore(&fenv);
+    ASSERT_TRUE(store->Open().ok());
+    first = fenv.op_count() + 1;
+    ASSERT_TRUE(store->CreateRecord(Actor::Controller(), rec).ok());
+    last = fenv.op_count();
+  }
+  size_t injected = 0;
+  for (uint64_t op = first; op <= last; ++op) {
+    SCOPED_TRACE("WAL fault at op " + std::to_string(op));
+    MemEnv mem;
+    FaultEnv fenv(&mem, kSeed);
+    auto store = MakeRelStore(&fenv);
+    ASSERT_TRUE(store->Open().ok());
+    FaultPlan plan;
+    plan.fail_at_op = op;
+    plan.path_filter = "rel/wal";
+    fenv.set_plan(plan);
+    const Status s = store->CreateRecord(Actor::Controller(), rec);
+    (void)store->Close().ok();  // may fail under the injected fault
+    if (fenv.faults_injected() == 0) {
+      EXPECT_TRUE(s.ok()) << s.ToString();
+      continue;
+    }
+    ++injected;
+    EXPECT_FALSE(s.ok());
+  }
+  // The row and its three join rows each append to the WAL.
+  EXPECT_GE(injected, 4u);
+}
+
 // ---- statement-log torn-tail recovery (rel::Database directly) -------------
 
 TEST(StatementLogTorn, ActiveTailSurvivesReopen) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
 #include <set>
 
 #include "common/string_util.h"
@@ -293,6 +294,70 @@ TEST(KvGdprStore, ExpiredUpsertDoesNotLeaveStaleIndexEntries) {
   ASSERT_TRUE(erased.ok());
   EXPECT_EQ(erased.value(), 0u);
   EXPECT_TRUE(store.ReadDataByKey(Actor::Customer("bob"), "k1").ok());
+}
+
+// Rewriting expiries must not grow the TTL index: 1,000 records (every
+// other one expiring), 20,000 metadata updates of which half move an
+// expiry, and the index ends at the bytes it started with and one TTL
+// entry per expiring record. The sweep still reclaims exactly the records
+// that are due.
+TEST(KvGdprStore, TtlIndexStaysBoundedUnderExpiryRewrites) {
+  SimulatedClock clock(1000);
+  KvGdprOptions o;
+  o.clock = &clock;
+  o.compliance.metadata_indexing = true;
+  KvGdprStore store(o);
+  ASSERT_TRUE(store.Open().ok());
+  const Actor controller = Actor::Controller();
+  auto gauge = [&](const char* name) {
+    return store.StatsSnapshot().GaugeValue(name);
+  };
+  constexpr int kRecords = 1000;
+  constexpr int64_t kFar = 1'000'000'000;
+  for (int i = 0; i < kRecords; ++i) {
+    GdprRecord rec = MakeRec("k" + std::to_string(i),
+                             "u" + std::to_string(i % 50), {"billing"});
+    if (i % 2 == 0) rec.metadata.expiry_micros = kFar + i;
+    ASSERT_TRUE(store.CreateRecord(controller, rec).ok());
+  }
+  const int64_t bytes_before = gauge("gdpr_index_bytes");
+  EXPECT_EQ(gauge("gdpr_ttl_backlog"), kRecords / 2);
+
+  std::mt19937 rng(13);
+  for (int u = 0; u < 20000; ++u) {
+    MetadataUpdate up;
+    int i;
+    if (u % 2 == 0) {
+      i = 2 * int(rng() % (kRecords / 2));  // an expiring record
+      up.expiry_micros = kFar + 2 * kRecords + u;
+    } else {
+      i = int(rng() % kRecords);
+      up.origin = "origin-" + std::to_string(u % 7);
+    }
+    ASSERT_TRUE(
+        store.UpdateMetadataByKey(controller, "k" + std::to_string(i), up)
+            .ok());
+  }
+  EXPECT_EQ(gauge("gdpr_index_bytes"), bytes_before);
+  EXPECT_LE(gauge("gdpr_ttl_backlog"), 2 * kRecords / 2);
+
+  // Bring 100 of the expiring records due; only those are reclaimed.
+  for (int i = 0; i < 200; i += 2) {
+    MetadataUpdate up;
+    up.expiry_micros = clock.NowMicros() + 500;
+    ASSERT_TRUE(
+        store.UpdateMetadataByKey(controller, "k" + std::to_string(i), up)
+            .ok());
+  }
+  clock.AdvanceMicros(1000);
+  auto reclaimed = store.DeleteExpiredRecords(controller);
+  ASSERT_TRUE(reclaimed.ok());
+  EXPECT_EQ(reclaimed.value(), 100u);
+  EXPECT_EQ(store.RecordCount(), size_t(kRecords - 100));
+  EXPECT_TRUE(store.VerifyDeletion(Actor::Regulator(), "k0").value());
+  EXPECT_TRUE(store.ReadDataByKey(controller, "k200").ok());
+  EXPECT_EQ(gauge("gdpr_ttl_backlog"), kRecords / 2 - 100);
+  EXPECT_EQ(store.DeleteExpiredRecords(controller).value(), 0u);
 }
 
 TEST(KvGdprStore, AccessControlOffAllowsEverything) {
