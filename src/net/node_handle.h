@@ -38,6 +38,10 @@ struct AuditChainVerdict {
 
 class NodeHandle {
  public:
+  using Records = std::vector<GdprRecord>;
+  using Keys = std::vector<std::string>;
+  using ScanFn = std::function<bool(const GdprRecord&)>;
+
   virtual ~NodeHandle() = default;
 
   virtual Status Open() = 0;
@@ -50,14 +54,14 @@ class NodeHandle {
                                              const std::string& key) = 0;
   virtual StatusOr<GdprMetadata> ReadMetadataByKey(const Actor& actor,
                                                    const std::string& key) = 0;
-  virtual StatusOr<std::vector<GdprRecord>> ReadMetadataByUser(
-      const Actor& actor, const std::string& user) = 0;
-  virtual StatusOr<std::vector<GdprRecord>> ReadMetadataByPurpose(
+  virtual StatusOr<Records> ReadMetadataByUser(const Actor& actor,
+                                               const std::string& user) = 0;
+  virtual StatusOr<Records> ReadMetadataByPurpose(
       const Actor& actor, const std::string& purpose) = 0;
-  virtual StatusOr<std::vector<GdprRecord>> ReadMetadataBySharing(
+  virtual StatusOr<Records> ReadMetadataBySharing(
       const Actor& actor, const std::string& third_party) = 0;
-  virtual StatusOr<std::vector<GdprRecord>> ReadRecordsByUser(
-      const Actor& actor, const std::string& user) = 0;
+  virtual StatusOr<Records> ReadRecordsByUser(const Actor& actor,
+                                              const std::string& user) = 0;
   virtual Status UpdateMetadataByKey(const Actor& actor,
                                      const std::string& key,
                                      const MetadataUpdate& update) = 0;
@@ -76,9 +80,7 @@ class NodeHandle {
   virtual StatusOr<std::vector<AuditEntry>> GetSystemLogs(
       const Actor& actor, int64_t from_micros, int64_t to_micros) = 0;
   virtual StatusOr<Features> GetFeatures(const Actor& actor) = 0;
-  virtual Status ScanRecords(
-      const Actor& actor,
-      const std::function<bool(const GdprRecord&)>& fn) = 0;
+  virtual Status ScanRecords(const Actor& actor, const ScanFn& fn) = 0;
 
   // Introspection.
   virtual size_t RecordCount() = 0;
@@ -93,10 +95,10 @@ class NodeHandle {
   virtual CompactionStats GetCompactionStats() = 0;
 
   // Slot migration (router-driven; not GDPR-audited node-side).
-  virtual StatusOr<std::vector<GdprRecord>> ExportSlotRecords(
-      uint32_t slot, uint32_t num_slots) = 0;
-  virtual StatusOr<std::vector<std::string>> ExportSlotTombstones(
-      uint32_t slot, uint32_t num_slots) = 0;
+  virtual StatusOr<Records> ExportSlotRecords(uint32_t slot,
+                                              uint32_t num_slots) = 0;
+  virtual StatusOr<Keys> ExportSlotTombstones(uint32_t slot,
+                                              uint32_t num_slots) = 0;
   virtual Status ImportRecord(const GdprRecord& record) = 0;
   virtual Status AdoptTombstone(const std::string& key) = 0;
   virtual Status EvictRecord(const std::string& key) = 0;
@@ -128,20 +130,20 @@ class InProcessHandle final : public NodeHandle {
                                            const std::string& key) override {
     return store_->ReadMetadataByKey(actor, key);
   }
-  StatusOr<std::vector<GdprRecord>> ReadMetadataByUser(
-      const Actor& actor, const std::string& user) override {
+  StatusOr<Records> ReadMetadataByUser(const Actor& actor,
+                                       const std::string& user) override {
     return store_->ReadMetadataByUser(actor, user);
   }
-  StatusOr<std::vector<GdprRecord>> ReadMetadataByPurpose(
+  StatusOr<Records> ReadMetadataByPurpose(
       const Actor& actor, const std::string& purpose) override {
     return store_->ReadMetadataByPurpose(actor, purpose);
   }
-  StatusOr<std::vector<GdprRecord>> ReadMetadataBySharing(
+  StatusOr<Records> ReadMetadataBySharing(
       const Actor& actor, const std::string& third_party) override {
     return store_->ReadMetadataBySharing(actor, third_party);
   }
-  StatusOr<std::vector<GdprRecord>> ReadRecordsByUser(
-      const Actor& actor, const std::string& user) override {
+  StatusOr<Records> ReadRecordsByUser(const Actor& actor,
+                                      const std::string& user) override {
     return store_->ReadRecordsByUser(actor, user);
   }
   Status UpdateMetadataByKey(const Actor& actor, const std::string& key,
@@ -175,9 +177,7 @@ class InProcessHandle final : public NodeHandle {
   StatusOr<Features> GetFeatures(const Actor& actor) override {
     return store_->GetFeatures(actor);
   }
-  Status ScanRecords(
-      const Actor& actor,
-      const std::function<bool(const GdprRecord&)>& fn) override {
+  Status ScanRecords(const Actor& actor, const ScanFn& fn) override {
     return store_->ScanRecords(actor, fn);
   }
 
@@ -197,18 +197,13 @@ class InProcessHandle final : public NodeHandle {
     return store_->GetCompactionStats();
   }
 
-  StatusOr<std::vector<GdprRecord>> ExportSlotRecords(
-      uint32_t slot, uint32_t num_slots) override {
-    return store_->ExportRecords([slot, num_slots](const std::string& key) {
-      return SlotForKey(key, num_slots) == slot;
-    });
+  StatusOr<Records> ExportSlotRecords(uint32_t slot,
+                                      uint32_t num_slots) override {
+    return store_->ExportRecords(InSlot(slot, num_slots));
   }
-  StatusOr<std::vector<std::string>> ExportSlotTombstones(
-      uint32_t slot, uint32_t num_slots) override {
-    return store_->ExportTombstones(
-        [slot, num_slots](const std::string& key) {
-          return SlotForKey(key, num_slots) == slot;
-        });
+  StatusOr<Keys> ExportSlotTombstones(uint32_t slot,
+                                      uint32_t num_slots) override {
+    return store_->ExportTombstones(InSlot(slot, num_slots));
   }
   Status ImportRecord(const GdprRecord& record) override {
     return store_->ImportRecord(record);
@@ -225,15 +220,21 @@ class InProcessHandle final : public NodeHandle {
   }
 
   StatusOr<AuditChainVerdict> VerifyAuditChain() override {
-    AuditChainVerdict v;
-    v.chain_ok = store_->audit_log()->VerifyChain();
-    v.head_hash = store_->audit_log()->head_hash();
-    return v;
+    AuditLog* log = store_->audit_log();
+    return AuditChainVerdict{log->VerifyChain(), log->head_hash()};
   }
 
   const char* transport_name() const override { return "in-process"; }
 
  private:
+  // Slot membership by the very hash the router routes by.
+  static std::function<bool(const std::string&)> InSlot(uint32_t slot,
+                                                        uint32_t num_slots) {
+    return [=](const std::string& key) {
+      return SlotForKey(key, num_slots) == slot;
+    };
+  }
+
   KvGdprStore* store_;
 };
 

@@ -30,8 +30,7 @@ RemoteHandle::RemoteHandle(int fd, RemoteHandleOptions opts)
 
 RemoteHandle::~RemoteHandle() {
   std::lock_guard<std::mutex> lock(mu_);
-  CloseFd(fd_);
-  fd_ = -1;
+  DropConnLocked();
 }
 
 void RemoteHandle::DropConnLocked() {
@@ -52,7 +51,6 @@ Status RemoteHandle::EnsureConnectedLocked() {
   }
   if (fd < 0) return Unreachable(opts_.node_label, Status::Unavailable(err));
   fd_ = fd;
-  buf_ = FrameBuffer{};
   if (reconnects_) reconnects_->Add(1);
   return Status::OK();
 }
@@ -66,13 +64,9 @@ Status RemoteHandle::Call(const WireRequest& req, WireResponse* resp) {
   Status s = EnsureConnectedLocked();
   if (!s.ok()) return s;
   const std::string frame = Frame(EncodeRequest(req));
-  s = WriteAll(fd_, frame, opts_.timeout_ms);
-  if (!s.ok()) {
-    DropConnLocked();
-    return Unreachable(opts_.node_label, s);
-  }
   std::string payload;
-  s = ReadFrame(fd_, &buf_, &payload, opts_.timeout_ms);
+  s = WriteAll(fd_, frame, opts_.timeout_ms);
+  if (s.ok()) s = ReadFrame(fd_, &buf_, &payload, opts_.timeout_ms);
   if (!s.ok()) {
     // Timeout, peer death, or an unframeable stream: either way this
     // connection's byte position can no longer be trusted.
@@ -81,394 +75,76 @@ Status RemoteHandle::Call(const WireRequest& req, WireResponse* resp) {
   }
   if (rpc_bytes_) rpc_bytes_->Add(frame.size() + payload.size());
   s = DecodeResponse(payload, resp);
-  if (!s.ok()) {
-    DropConnLocked();
-    return s;
-  }
-  if (resp->op != req.op) {
+  if (s.ok() && resp->op != req.op) {
     // A stray or reordered frame — single in-flight request means the
     // stream is corrupt, not merely slow.
-    DropConnLocked();
-    return Status::DataLoss("rpc response op mismatch: sent " +
-                            std::string(WireOpName(req.op)) + ", got " +
-                            WireOpName(resp->op));
+    s = Status::DataLoss("rpc response op mismatch: sent " +
+                         std::string(WireOpName(req.op)) + ", got " +
+                         WireOpName(resp->op));
   }
-  return Status::OK();
+  if (!s.ok()) DropConnLocked();
+  return s;
 }
 
-// ---- vocabulary ------------------------------------------------------------
-
-Status RemoteHandle::Open() {
-  WireRequest req;
-  req.op = WireOp::kOpen;
+StatusOr<WireResponse> RemoteHandle::Ask(const WireRequest& req) {
   WireResponse resp;
   Status s = Call(req, &resp);
-  return s.ok() ? resp.status : s;
+  if (s.ok()) s = resp.status;
+  if (!s.ok()) return s;
+  return resp;
 }
 
-Status RemoteHandle::Close() {
+WireRequest RemoteHandle::Req(WireOp op, const Actor& actor,
+                              const std::string& key) {
   WireRequest req;
-  req.op = WireOp::kClose;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  return s.ok() ? resp.status : s;
-}
-
-Status RemoteHandle::CreateRecord(const Actor& actor,
-                                  const GdprRecord& record) {
-  WireRequest req;
-  req.op = WireOp::kCreateRecord;
-  req.actor = actor;
-  req.record = record;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  return s.ok() ? resp.status : s;
-}
-
-StatusOr<GdprRecord> RemoteHandle::ReadDataByKey(const Actor& actor,
-                                                 const std::string& key) {
-  WireRequest req;
-  req.op = WireOp::kReadData;
+  req.op = op;
   req.actor = actor;
   req.key = key;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  if (!s.ok()) return s;
-  if (!resp.status.ok()) return resp.status;
-  return std::move(resp.record);
+  return req;
 }
 
-StatusOr<GdprMetadata> RemoteHandle::ReadMetadataByKey(const Actor& actor,
-                                                       const std::string& key) {
-  WireRequest req;
-  req.op = WireOp::kReadMeta;
-  req.actor = actor;
-  req.key = key;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  if (!s.ok()) return s;
-  if (!resp.status.ok()) return resp.status;
-  return std::move(resp.metadata);
+WireRequest RemoteHandle::SlotReq(WireOp op, uint32_t slot,
+                                  uint32_t num_slots) {
+  WireRequest req = Req(op);
+  req.slot = slot;
+  req.num_slots = num_slots;
+  return req;
 }
 
-StatusOr<std::vector<GdprRecord>> RemoteHandle::ReadMetadataByUser(
-    const Actor& actor, const std::string& user) {
-  WireRequest req;
-  req.op = WireOp::kReadMetaUser;
-  req.actor = actor;
-  req.key = user;
+Status RemoteHandle::ScanRecords(const Actor& actor, const ScanFn& fn) {
   WireResponse resp;
-  Status s = Call(req, &resp);
-  if (!s.ok()) return s;
-  if (!resp.status.ok()) return resp.status;
-  return std::move(resp.records);
-}
-
-StatusOr<std::vector<GdprRecord>> RemoteHandle::ReadMetadataByPurpose(
-    const Actor& actor, const std::string& purpose) {
-  WireRequest req;
-  req.op = WireOp::kReadMetaPurpose;
-  req.actor = actor;
-  req.key = purpose;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  if (!s.ok()) return s;
-  if (!resp.status.ok()) return resp.status;
-  return std::move(resp.records);
-}
-
-StatusOr<std::vector<GdprRecord>> RemoteHandle::ReadMetadataBySharing(
-    const Actor& actor, const std::string& third_party) {
-  WireRequest req;
-  req.op = WireOp::kReadMetaSharing;
-  req.actor = actor;
-  req.key = third_party;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  if (!s.ok()) return s;
-  if (!resp.status.ok()) return resp.status;
-  return std::move(resp.records);
-}
-
-StatusOr<std::vector<GdprRecord>> RemoteHandle::ReadRecordsByUser(
-    const Actor& actor, const std::string& user) {
-  WireRequest req;
-  req.op = WireOp::kReadRecordsUser;
-  req.actor = actor;
-  req.key = user;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  if (!s.ok()) return s;
-  if (!resp.status.ok()) return resp.status;
-  return std::move(resp.records);
-}
-
-Status RemoteHandle::UpdateMetadataByKey(const Actor& actor,
-                                         const std::string& key,
-                                         const MetadataUpdate& update) {
-  WireRequest req;
-  req.op = WireOp::kUpdateMeta;
-  req.actor = actor;
-  req.key = key;
-  req.update = update;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  return s.ok() ? resp.status : s;
-}
-
-Status RemoteHandle::UpdateDataByKey(const Actor& actor,
-                                     const std::string& key,
-                                     const std::string& data) {
-  WireRequest req;
-  req.op = WireOp::kUpdateData;
-  req.actor = actor;
-  req.key = key;
-  req.data = data;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  return s.ok() ? resp.status : s;
-}
-
-Status RemoteHandle::DeleteRecordByKey(const Actor& actor,
-                                       const std::string& key) {
-  WireRequest req;
-  req.op = WireOp::kDeleteKey;
-  req.actor = actor;
-  req.key = key;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  return s.ok() ? resp.status : s;
-}
-
-StatusOr<size_t> RemoteHandle::DeleteRecordsByUser(const Actor& actor,
-                                                   const std::string& user) {
-  WireRequest req;
-  req.op = WireOp::kDeleteUser;
-  req.actor = actor;
-  req.key = user;
-  WireResponse resp;
-  // The response frame only exists once the remote store call returned,
-  // i.e. once its tombstones were decided durable — so a transport failure
-  // here (no frame) correctly reads as "erasure not acked on this node".
-  Status s = Call(req, &resp);
-  if (!s.ok()) return s;
-  if (!resp.status.ok()) return resp.status;
-  return size_t(resp.count);
-}
-
-StatusOr<size_t> RemoteHandle::DeleteExpiredRecords(const Actor& actor) {
-  WireRequest req;
-  req.op = WireOp::kDeleteExpired;
-  req.actor = actor;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  if (!s.ok()) return s;
-  if (!resp.status.ok()) return resp.status;
-  return size_t(resp.count);
-}
-
-StatusOr<bool> RemoteHandle::VerifyDeletion(const Actor& actor,
-                                            const std::string& key) {
-  WireRequest req;
-  req.op = WireOp::kVerifyDeletion;
-  req.actor = actor;
-  req.key = key;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  if (!s.ok()) return s;
-  if (!resp.status.ok()) return resp.status;
-  return resp.flag;
-}
-
-StatusOr<std::vector<AuditEntry>> RemoteHandle::GetSystemLogs(
-    const Actor& actor, int64_t from_micros, int64_t to_micros) {
-  WireRequest req;
-  req.op = WireOp::kGetLogs;
-  req.actor = actor;
-  req.from_micros = from_micros;
-  req.to_micros = to_micros;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  if (!s.ok()) return s;
-  if (!resp.status.ok()) return resp.status;
-  return std::move(resp.entries);
-}
-
-StatusOr<Features> RemoteHandle::GetFeatures(const Actor& actor) {
-  WireRequest req;
-  req.op = WireOp::kGetFeatures;
-  req.actor = actor;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  if (!s.ok()) return s;
-  if (!resp.status.ok()) return resp.status;
-  return std::move(resp.features);
-}
-
-Status RemoteHandle::ScanRecords(
-    const Actor& actor, const std::function<bool(const GdprRecord&)>& fn) {
-  WireRequest req;
-  req.op = WireOp::kScanRecords;
-  req.actor = actor;
-  WireResponse resp;
-  Status s = Call(req, &resp);
+  Status s = Call(Req(WireOp::kScanRecords, actor), &resp);
   if (!s.ok()) return s;
   // Replay the callback over the shipped record set. The remote scan has
   // already completed in full; an early stop here only stops the replay,
-  // which matches the router's "stop feeding the callback" semantics.
+  // which matches the router's "stop feeding the callback" semantics. The
+  // op status (a DataLoss partial-scan verdict, say) rides alongside.
   for (const GdprRecord& rec : resp.records) {
     if (!fn(rec)) break;
   }
   return resp.status;
 }
 
-// ---- introspection ---------------------------------------------------------
-
-size_t RemoteHandle::RecordCount() {
-  WireRequest req;
-  req.op = WireOp::kRecordCount;
-  WireResponse resp;
-  return Call(req, &resp).ok() ? size_t(resp.count) : 0;
-}
-
-size_t RemoteHandle::TotalBytes() {
-  WireRequest req;
-  req.op = WireOp::kTotalBytes;
-  WireResponse resp;
-  return Call(req, &resp).ok() ? size_t(resp.count) : 0;
-}
-
-Status RemoteHandle::Reset() {
-  WireRequest req;
-  req.op = WireOp::kReset;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  return s.ok() ? resp.status : s;
-}
-
 HealthState RemoteHandle::GetHealth() {
-  WireRequest req;
-  req.op = WireOp::kHealth;
   WireResponse resp;
-  if (!Call(req, &resp).ok()) {
-    // Unreachable != data lost: the node may be fine behind a dead link.
-    // Degraded is the conservative report that keeps reads routing around
-    // it without declaring its state unrecoverable.
-    return HealthState::kDegradedReadOnly;
-  }
-  return resp.health;
+  // Unreachable != data lost: the node may be fine behind a dead link.
+  // Degraded is the conservative report that keeps reads routing around it
+  // without declaring its state unrecoverable.
+  const bool reached = Call(Req(WireOp::kHealth), &resp).ok();
+  return reached ? resp.health : HealthState::kDegradedReadOnly;
 }
 
 Status RemoteHandle::GetHealthCause() {
-  WireRequest req;
-  req.op = WireOp::kHealth;
   WireResponse resp;
-  Status s = Call(req, &resp);
-  if (!s.ok()) return s;
-  return resp.health_cause;
-}
-
-obs::RegistrySnapshot RemoteHandle::StatsSnapshot() {
-  WireRequest req;
-  req.op = WireOp::kStatsSnapshot;
-  WireResponse resp;
-  if (!Call(req, &resp).ok()) return {};
-  return std::move(resp.snapshot);
-}
-
-StatusOr<CompactionStats> RemoteHandle::CompactNow(const Actor& actor) {
-  WireRequest req;
-  req.op = WireOp::kCompactNow;
-  req.actor = actor;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  if (!s.ok()) return s;
-  if (!resp.status.ok()) return resp.status;
-  return resp.stats;
-}
-
-CompactionStats RemoteHandle::GetCompactionStats() {
-  WireRequest req;
-  req.op = WireOp::kCompactionStats;
-  WireResponse resp;
-  if (!Call(req, &resp).ok()) return {};
-  return resp.stats;
-}
-
-// ---- migration -------------------------------------------------------------
-
-StatusOr<std::vector<GdprRecord>> RemoteHandle::ExportSlotRecords(
-    uint32_t slot, uint32_t num_slots) {
-  WireRequest req;
-  req.op = WireOp::kExportRecords;
-  req.slot = slot;
-  req.num_slots = num_slots;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  if (!s.ok()) return s;
-  if (!resp.status.ok()) return resp.status;
-  return std::move(resp.records);
-}
-
-StatusOr<std::vector<std::string>> RemoteHandle::ExportSlotTombstones(
-    uint32_t slot, uint32_t num_slots) {
-  WireRequest req;
-  req.op = WireOp::kExportTombstones;
-  req.slot = slot;
-  req.num_slots = num_slots;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  if (!s.ok()) return s;
-  if (!resp.status.ok()) return resp.status;
-  return std::move(resp.keys);
-}
-
-Status RemoteHandle::ImportRecord(const GdprRecord& record) {
-  WireRequest req;
-  req.op = WireOp::kImportRecord;
-  req.record = record;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  return s.ok() ? resp.status : s;
-}
-
-Status RemoteHandle::AdoptTombstone(const std::string& key) {
-  WireRequest req;
-  req.op = WireOp::kAdoptTombstone;
-  req.key = key;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  return s.ok() ? resp.status : s;
-}
-
-Status RemoteHandle::EvictRecord(const std::string& key) {
-  WireRequest req;
-  req.op = WireOp::kEvictRecord;
-  req.key = key;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  return s.ok() ? resp.status : s;
-}
-
-Status RemoteHandle::ClearTombstone(const std::string& key) {
-  WireRequest req;
-  req.op = WireOp::kClearTombstone;
-  req.key = key;
-  WireResponse resp;
-  Status s = Call(req, &resp);
-  return s.ok() ? resp.status : s;
+  Status s = Call(Req(WireOp::kHealth), &resp);
+  return s.ok() ? resp.health_cause : s;
 }
 
 StatusOr<AuditChainVerdict> RemoteHandle::VerifyAuditChain() {
-  WireRequest req;
-  req.op = WireOp::kVerifyAuditChain;
   WireResponse resp;
-  Status s = Call(req, &resp);
+  Status s = Call(Req(WireOp::kVerifyAuditChain), &resp);
   if (!s.ok()) return s;
-  AuditChainVerdict v;
-  v.chain_ok = resp.flag;
-  v.head_hash = std::move(resp.head_hash);
-  return v;
+  return AuditChainVerdict{resp.flag, std::move(resp.head_hash)};
 }
 
 void RemoteHandle::InjectDisconnect() {

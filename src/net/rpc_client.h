@@ -50,67 +50,161 @@ class RemoteHandle final : public NodeHandle {
   RemoteHandle(const RemoteHandle&) = delete;
   RemoteHandle& operator=(const RemoteHandle&) = delete;
 
-  Status Open() override;
-  Status Close() override;
+  // One round trip plus the op status: the response when both the
+  // transport and the op succeeded, else the transport failure
+  // (Unavailable, or DataLoss for a corrupt stream) or the node's Status.
+  StatusOr<WireResponse> Ask(const WireRequest& req);
 
-  Status CreateRecord(const Actor& actor, const GdprRecord& record) override;
+  // Severs the connection as if the peer died (tests: a killed node).
+  void InjectDisconnect();
+
+  Status Open() override { return Ask(Req(WireOp::kOpen)).status(); }
+  Status Close() override { return Ask(Req(WireOp::kClose)).status(); }
+
+  Status CreateRecord(const Actor& actor, const GdprRecord& record) override {
+    WireRequest req = Req(WireOp::kCreateRecord, actor);
+    req.record = record;
+    return Ask(req).status();
+  }
   StatusOr<GdprRecord> ReadDataByKey(const Actor& actor,
-                                     const std::string& key) override;
+                                     const std::string& key) override {
+    return Get<GdprRecord>(Req(WireOp::kReadData, actor, key), &R::record);
+  }
   StatusOr<GdprMetadata> ReadMetadataByKey(const Actor& actor,
-                                           const std::string& key) override;
-  StatusOr<std::vector<GdprRecord>> ReadMetadataByUser(
-      const Actor& actor, const std::string& user) override;
-  StatusOr<std::vector<GdprRecord>> ReadMetadataByPurpose(
-      const Actor& actor, const std::string& purpose) override;
-  StatusOr<std::vector<GdprRecord>> ReadMetadataBySharing(
-      const Actor& actor, const std::string& third_party) override;
-  StatusOr<std::vector<GdprRecord>> ReadRecordsByUser(
-      const Actor& actor, const std::string& user) override;
+                                           const std::string& key) override {
+    return Get<GdprMetadata>(Req(WireOp::kReadMeta, actor, key), &R::metadata);
+  }
+  StatusOr<Records> ReadMetadataByUser(const Actor& actor,
+                                       const std::string& user) override {
+    return Get<Records>(Req(WireOp::kReadMetaUser, actor, user), &R::records);
+  }
+  StatusOr<Records> ReadMetadataByPurpose(
+      const Actor& actor, const std::string& purpose) override {
+    return Get<Records>(Req(WireOp::kReadMetaPurpose, actor, purpose),
+                        &R::records);
+  }
+  StatusOr<Records> ReadMetadataBySharing(
+      const Actor& actor, const std::string& third_party) override {
+    return Get<Records>(Req(WireOp::kReadMetaSharing, actor, third_party),
+                        &R::records);
+  }
+  StatusOr<Records> ReadRecordsByUser(const Actor& actor,
+                                      const std::string& user) override {
+    return Get<Records>(Req(WireOp::kReadRecordsUser, actor, user),
+                        &R::records);
+  }
   Status UpdateMetadataByKey(const Actor& actor, const std::string& key,
-                             const MetadataUpdate& update) override;
+                             const MetadataUpdate& update) override {
+    WireRequest req = Req(WireOp::kUpdateMeta, actor, key);
+    req.update = update;
+    return Ask(req).status();
+  }
   Status UpdateDataByKey(const Actor& actor, const std::string& key,
-                         const std::string& data) override;
-  Status DeleteRecordByKey(const Actor& actor, const std::string& key) override;
+                         const std::string& data) override {
+    WireRequest req = Req(WireOp::kUpdateData, actor, key);
+    req.data = data;
+    return Ask(req).status();
+  }
+  Status DeleteRecordByKey(const Actor& actor,
+                           const std::string& key) override {
+    return Ask(Req(WireOp::kDeleteKey, actor, key)).status();
+  }
+  // The response frame only exists once the remote store call returned,
+  // i.e. once its tombstones were decided durable, so a transport failure
+  // (no frame) correctly reads as "erasure not acked on this node".
   StatusOr<size_t> DeleteRecordsByUser(const Actor& actor,
-                                       const std::string& user) override;
-  StatusOr<size_t> DeleteExpiredRecords(const Actor& actor) override;
+                                       const std::string& user) override {
+    return Get<size_t>(Req(WireOp::kDeleteUser, actor, user), &R::count);
+  }
+  StatusOr<size_t> DeleteExpiredRecords(const Actor& actor) override {
+    return Get<size_t>(Req(WireOp::kDeleteExpired, actor), &R::count);
+  }
   StatusOr<bool> VerifyDeletion(const Actor& actor,
-                                const std::string& key) override;
+                                const std::string& key) override {
+    return Get<bool>(Req(WireOp::kVerifyDeletion, actor, key), &R::flag);
+  }
   StatusOr<std::vector<AuditEntry>> GetSystemLogs(const Actor& actor,
                                                   int64_t from_micros,
-                                                  int64_t to_micros) override;
-  StatusOr<Features> GetFeatures(const Actor& actor) override;
-  Status ScanRecords(
-      const Actor& actor,
-      const std::function<bool(const GdprRecord&)>& fn) override;
+                                                  int64_t to_micros) override {
+    WireRequest req = Req(WireOp::kGetLogs, actor);
+    req.from_micros = from_micros;
+    req.to_micros = to_micros;
+    return Get<std::vector<AuditEntry>>(req, &R::entries);
+  }
+  StatusOr<Features> GetFeatures(const Actor& actor) override {
+    return Get<Features>(Req(WireOp::kGetFeatures, actor), &R::features);
+  }
+  Status ScanRecords(const Actor& actor, const ScanFn& fn) override;
 
-  size_t RecordCount() override;
-  size_t TotalBytes() override;
-  Status Reset() override;
+  size_t RecordCount() override {
+    return GetOr<size_t>(WireOp::kRecordCount, &R::count);
+  }
+  size_t TotalBytes() override {
+    return GetOr<size_t>(WireOp::kTotalBytes, &R::count);
+  }
+  Status Reset() override { return Ask(Req(WireOp::kReset)).status(); }
   HealthState GetHealth() override;
   Status GetHealthCause() override;
-  obs::RegistrySnapshot StatsSnapshot() override;
+  obs::RegistrySnapshot StatsSnapshot() override {
+    return GetOr<obs::RegistrySnapshot>(WireOp::kStatsSnapshot, &R::snapshot);
+  }
 
-  StatusOr<CompactionStats> CompactNow(const Actor& actor) override;
-  CompactionStats GetCompactionStats() override;
+  StatusOr<CompactionStats> CompactNow(const Actor& actor) override {
+    return Get<CompactionStats>(Req(WireOp::kCompactNow, actor), &R::stats);
+  }
+  CompactionStats GetCompactionStats() override {
+    return GetOr<CompactionStats>(WireOp::kCompactionStats, &R::stats);
+  }
 
-  StatusOr<std::vector<GdprRecord>> ExportSlotRecords(
-      uint32_t slot, uint32_t num_slots) override;
-  StatusOr<std::vector<std::string>> ExportSlotTombstones(
-      uint32_t slot, uint32_t num_slots) override;
-  Status ImportRecord(const GdprRecord& record) override;
-  Status AdoptTombstone(const std::string& key) override;
-  Status EvictRecord(const std::string& key) override;
-  Status ClearTombstone(const std::string& key) override;
+  StatusOr<Records> ExportSlotRecords(uint32_t slot,
+                                      uint32_t num_slots) override {
+    return Get<Records>(SlotReq(WireOp::kExportRecords, slot, num_slots),
+                        &R::records);
+  }
+  StatusOr<Keys> ExportSlotTombstones(uint32_t slot,
+                                      uint32_t num_slots) override {
+    return Get<Keys>(SlotReq(WireOp::kExportTombstones, slot, num_slots),
+                     &R::keys);
+  }
+  Status ImportRecord(const GdprRecord& record) override {
+    WireRequest req = Req(WireOp::kImportRecord);
+    req.record = record;
+    return Ask(req).status();
+  }
+  Status AdoptTombstone(const std::string& key) override {
+    return Ask(Req(WireOp::kAdoptTombstone, {}, key)).status();
+  }
+  Status EvictRecord(const std::string& key) override {
+    return Ask(Req(WireOp::kEvictRecord, {}, key)).status();
+  }
+  Status ClearTombstone(const std::string& key) override {
+    return Ask(Req(WireOp::kClearTombstone, {}, key)).status();
+  }
 
   StatusOr<AuditChainVerdict> VerifyAuditChain() override;
 
   const char* transport_name() const override { return "socket"; }
 
-  // Severs the connection as if the peer died (tests: a killed node).
-  void InjectDisconnect();
-
  private:
+  using R = WireResponse;
+
+  static WireRequest Req(WireOp op, const Actor& actor = {},
+                         const std::string& key = {});
+  static WireRequest SlotReq(WireOp op, uint32_t slot, uint32_t num_slots);
+  // The op's one result field, or why there is none.
+  template <typename T, typename F>
+  StatusOr<T> Get(const WireRequest& req, F WireResponse::*field) {
+    StatusOr<WireResponse> r = Ask(req);
+    if (!r.ok()) return r.status();
+    return T(std::move(r.value().*field));
+  }
+  // Statusless introspection: zero or empty on an unreachable node.
+  template <typename T, typename F>
+  T GetOr(WireOp op, F WireResponse::*field) {
+    StatusOr<T> r = Get<T>(Req(op), field);
+    return r.ok() ? std::move(r.value()) : T{};
+  }
+
   // One round trip. Locks, (re)connects if needed, writes the framed
   // request, reads exactly one response frame, validates the op echo.
   Status Call(const WireRequest& req, WireResponse* resp);

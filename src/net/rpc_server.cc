@@ -1,12 +1,14 @@
 #include "net/rpc_server.h"
 
 #include <errno.h>
+#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <utility>
 
+#include "net/node_handle.h"
 #include "net/socket_io.h"
 
 namespace gdpr::net {
@@ -17,162 +19,123 @@ namespace {
 // response within this budget is treated as dead.
 constexpr int kWriteTimeoutMs = 10'000;
 
-template <typename T>
-void TakeStatusOr(StatusOr<T> r, Status* status, T* out) {
+// Puts a handle call's outcome into the response: a bare Status, or a
+// result (a StatusOr's value, or a statusless value) into `field`.
+void Put(WireResponse* resp, Status s) { resp->status = std::move(s); }
+
+template <typename T, typename F>
+void Put(WireResponse* resp, StatusOr<T> r, F WireResponse::*field) {
   if (r.ok()) {
-    *out = std::move(r.value());
+    resp->*field = F(std::move(r.value()));
   } else {
-    *status = r.status();
+    resp->status = r.status();
+  }
+}
+
+template <typename T, typename F>
+void Put(WireResponse* resp, T v, F WireResponse::*field) {
+  resp->*field = F(std::move(v));
+}
+
+// One line per op: the request's fields into the matching handle call.
+void Serve(InProcessHandle& h, const WireRequest& req, WireResponse* resp) {
+  const Actor& a = req.actor;
+  const std::string& k = req.key;
+  using R = WireResponse;
+  switch (req.op) {
+    case WireOp::kPing:
+      return;
+    case WireOp::kOpen:
+      return Put(resp, h.Open());
+    case WireOp::kClose:
+      return Put(resp, h.Close());
+    case WireOp::kCreateRecord:
+      return Put(resp, h.CreateRecord(a, req.record));
+    case WireOp::kReadData:
+      return Put(resp, h.ReadDataByKey(a, k), &R::record);
+    case WireOp::kReadMeta:
+      return Put(resp, h.ReadMetadataByKey(a, k), &R::metadata);
+    case WireOp::kReadMetaUser:
+      return Put(resp, h.ReadMetadataByUser(a, k), &R::records);
+    case WireOp::kReadMetaPurpose:
+      return Put(resp, h.ReadMetadataByPurpose(a, k), &R::records);
+    case WireOp::kReadMetaSharing:
+      return Put(resp, h.ReadMetadataBySharing(a, k), &R::records);
+    case WireOp::kReadRecordsUser:
+      return Put(resp, h.ReadRecordsByUser(a, k), &R::records);
+    case WireOp::kUpdateMeta:
+      return Put(resp, h.UpdateMetadataByKey(a, k, req.update));
+    case WireOp::kUpdateData:
+      return Put(resp, h.UpdateDataByKey(a, k, req.data));
+    case WireOp::kDeleteKey:
+      return Put(resp, h.DeleteRecordByKey(a, k));
+    case WireOp::kDeleteUser:
+      // Returns only once the node's tombstones are decided durable (the
+      // erasure path blocks in the commit pipeline), so the response frame
+      // IS the durable-tombstone ack.
+      return Put(resp, h.DeleteRecordsByUser(a, k), &R::count);
+    case WireOp::kDeleteExpired:
+      return Put(resp, h.DeleteExpiredRecords(a), &R::count);
+    case WireOp::kVerifyDeletion:
+      return Put(resp, h.VerifyDeletion(a, k), &R::flag);
+    case WireOp::kGetLogs:
+      return Put(resp, h.GetSystemLogs(a, req.from_micros, req.to_micros),
+                 &R::entries);
+    case WireOp::kGetFeatures:
+      return Put(resp, h.GetFeatures(a), &R::features);
+    case WireOp::kScanRecords:
+      // The callback cannot cross the wire: ship every readable record and
+      // let the handle replay the caller's callback locally. The op Status
+      // (DataLoss partial-scan verdicts included) rides alongside.
+      return Put(resp, h.ScanRecords(a, [resp](const GdprRecord& rec) {
+        resp->records.push_back(rec);
+        return true;
+      }));
+    case WireOp::kRecordCount:
+      return Put(resp, h.RecordCount(), &R::count);
+    case WireOp::kTotalBytes:
+      return Put(resp, h.TotalBytes(), &R::count);
+    case WireOp::kReset:
+      return Put(resp, h.Reset());
+    case WireOp::kHealth:
+      resp->health_cause = h.GetHealthCause();
+      return Put(resp, h.GetHealth(), &R::health);
+    case WireOp::kStatsSnapshot:
+      return Put(resp, h.StatsSnapshot(), &R::snapshot);
+    case WireOp::kCompactNow:
+      return Put(resp, h.CompactNow(a), &R::stats);
+    case WireOp::kCompactionStats:
+      return Put(resp, h.GetCompactionStats(), &R::stats);
+    case WireOp::kExportRecords:
+      return Put(resp, h.ExportSlotRecords(req.slot, req.num_slots),
+                 &R::records);
+    case WireOp::kExportTombstones:
+      return Put(resp, h.ExportSlotTombstones(req.slot, req.num_slots),
+                 &R::keys);
+    case WireOp::kImportRecord:
+      return Put(resp, h.ImportRecord(req.record));
+    case WireOp::kAdoptTombstone:
+      return Put(resp, h.AdoptTombstone(k));
+    case WireOp::kEvictRecord:
+      return Put(resp, h.EvictRecord(k));
+    case WireOp::kClearTombstone:
+      return Put(resp, h.ClearTombstone(k));
+    case WireOp::kVerifyAuditChain: {
+      AuditChainVerdict v = h.VerifyAuditChain().value();
+      resp->flag = v.chain_ok;
+      resp->head_hash = std::move(v.head_hash);
+      return;
+    }
   }
 }
 
 }  // namespace
 
 WireResponse DispatchRequest(KvGdprStore* store, const WireRequest& req) {
+  InProcessHandle handle(store);
   WireResponse resp;
   resp.op = req.op;
-  switch (req.op) {
-    case WireOp::kPing:
-      break;
-    case WireOp::kOpen:
-      resp.status = store->Open();
-      break;
-    case WireOp::kClose:
-      resp.status = store->Close();
-      break;
-    case WireOp::kCreateRecord:
-      resp.status = store->CreateRecord(req.actor, req.record);
-      break;
-    case WireOp::kReadData:
-      TakeStatusOr(store->ReadDataByKey(req.actor, req.key), &resp.status,
-                   &resp.record);
-      break;
-    case WireOp::kReadMeta:
-      TakeStatusOr(store->ReadMetadataByKey(req.actor, req.key), &resp.status,
-                   &resp.metadata);
-      break;
-    case WireOp::kReadMetaUser:
-      TakeStatusOr(store->ReadMetadataByUser(req.actor, req.key),
-                   &resp.status, &resp.records);
-      break;
-    case WireOp::kReadMetaPurpose:
-      TakeStatusOr(store->ReadMetadataByPurpose(req.actor, req.key),
-                   &resp.status, &resp.records);
-      break;
-    case WireOp::kReadMetaSharing:
-      TakeStatusOr(store->ReadMetadataBySharing(req.actor, req.key),
-                   &resp.status, &resp.records);
-      break;
-    case WireOp::kReadRecordsUser:
-      TakeStatusOr(store->ReadRecordsByUser(req.actor, req.key), &resp.status,
-                   &resp.records);
-      break;
-    case WireOp::kUpdateMeta:
-      resp.status = store->UpdateMetadataByKey(req.actor, req.key, req.update);
-      break;
-    case WireOp::kUpdateData:
-      resp.status = store->UpdateDataByKey(req.actor, req.key, req.data);
-      break;
-    case WireOp::kDeleteKey:
-      resp.status = store->DeleteRecordByKey(req.actor, req.key);
-      break;
-    case WireOp::kDeleteUser: {
-      // This call returns only once the node's tombstones are decided
-      // durable (the erasure path blocks in the commit pipeline), so the
-      // response frame below IS the durable-tombstone ack.
-      size_t n = 0;
-      TakeStatusOr(store->DeleteRecordsByUser(req.actor, req.key),
-                   &resp.status, &n);
-      resp.count = n;
-      break;
-    }
-    case WireOp::kDeleteExpired: {
-      size_t n = 0;
-      TakeStatusOr(store->DeleteExpiredRecords(req.actor), &resp.status, &n);
-      resp.count = n;
-      break;
-    }
-    case WireOp::kVerifyDeletion: {
-      bool gone = false;
-      TakeStatusOr(store->VerifyDeletion(req.actor, req.key), &resp.status,
-                   &gone);
-      resp.flag = gone;
-      break;
-    }
-    case WireOp::kGetLogs:
-      TakeStatusOr(
-          store->GetSystemLogs(req.actor, req.from_micros, req.to_micros),
-          &resp.status, &resp.entries);
-      break;
-    case WireOp::kGetFeatures:
-      TakeStatusOr(store->GetFeatures(req.actor), &resp.status,
-                   &resp.features);
-      break;
-    case WireOp::kScanRecords:
-      // The callback cannot cross the wire: ship every readable record and
-      // let the handle replay the caller's callback locally. The op Status
-      // (DataLoss partial-scan verdicts included) rides alongside.
-      resp.status = store->ScanRecords(req.actor, [&](const GdprRecord& rec) {
-        resp.records.push_back(rec);
-        return true;
-      });
-      break;
-    case WireOp::kRecordCount:
-      resp.count = store->RecordCount();
-      break;
-    case WireOp::kTotalBytes:
-      resp.count = store->TotalBytes();
-      break;
-    case WireOp::kReset:
-      resp.status = store->Reset();
-      break;
-    case WireOp::kHealth:
-      resp.health = store->GetHealth();
-      resp.health_cause = store->GetHealthCause();
-      break;
-    case WireOp::kStatsSnapshot:
-      resp.snapshot = store->StatsSnapshot();
-      break;
-    case WireOp::kCompactNow:
-      TakeStatusOr(store->CompactNow(req.actor), &resp.status, &resp.stats);
-      break;
-    case WireOp::kCompactionStats:
-      resp.stats = store->GetCompactionStats();
-      break;
-    case WireOp::kExportRecords: {
-      const uint32_t slot = req.slot, num_slots = req.num_slots;
-      TakeStatusOr(
-          store->ExportRecords([slot, num_slots](const std::string& key) {
-            return SlotForKey(key, num_slots) == slot;
-          }),
-          &resp.status, &resp.records);
-      break;
-    }
-    case WireOp::kExportTombstones: {
-      const uint32_t slot = req.slot, num_slots = req.num_slots;
-      resp.keys = store->ExportTombstones(
-          [slot, num_slots](const std::string& key) {
-            return SlotForKey(key, num_slots) == slot;
-          });
-      break;
-    }
-    case WireOp::kImportRecord:
-      resp.status = store->ImportRecord(req.record);
-      break;
-    case WireOp::kAdoptTombstone:
-      resp.status = store->AdoptTombstone(req.key);
-      break;
-    case WireOp::kEvictRecord:
-      resp.status = store->EvictRecord(req.key);
-      break;
-    case WireOp::kClearTombstone:
-      store->ClearTombstone(req.key);
-      break;
-    case WireOp::kVerifyAuditChain:
-      resp.flag = store->audit_log()->VerifyChain();
-      resp.head_hash = store->audit_log()->head_hash();
-      break;
-  }
+  Serve(handle, req, &resp);
   return resp;
 }
 
@@ -181,7 +144,9 @@ RpcServer::RpcServer(KvGdprStore* store) : store_(store) {}
 RpcServer::~RpcServer() { Stop(); }
 
 Status RpcServer::Start(const std::string& listen_addr) {
-  if (running()) return Status::FailedPrecondition("rpc server already running");
+  if (running()) {
+    return Status::FailedPrecondition("rpc server already running");
+  }
   if (!listen_addr.empty()) {
     std::string err;
     listen_fd_ = net::Listen(listen_addr, &err);
@@ -189,7 +154,7 @@ Status RpcServer::Start(const std::string& listen_addr) {
     listen_addr_ = listen_addr;
   }
   int pipefd[2];
-  if (pipe(pipefd) != 0) {
+  if (pipe2(pipefd, O_NONBLOCK) != 0) {
     CloseFd(listen_fd_);
     listen_fd_ = -1;
     return Status::IOError("rpc server wake pipe");
@@ -287,7 +252,7 @@ void RpcServer::Loop() {
       [[maybe_unused]] ssize_t n = read(wake_rd_, drain, sizeof(drain));
     }
     if (listen_fd_ >= 0 && (fds[1].revents & POLLIN)) {
-      const int fd = accept(listen_fd_, nullptr, nullptr);
+      const int fd = Accept(listen_fd_);
       if (fd >= 0) conns_.push_back(Conn{fd, {}});
     }
     // Walk backwards so dropping connection i cannot shift unprocessed

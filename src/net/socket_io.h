@@ -15,6 +15,10 @@
 
 namespace gdpr::net {
 
+// Every fd handed out below is non-blocking, so a send into a full socket
+// buffer returns EAGAIN and WriteAll's poll budget governs the wait: a
+// peer that stops reading costs at most the budget, never a hung thread.
+//
 // Accepted address forms:
 //   unix:/path/to.sock     AF_UNIX stream listener / dial target
 //   tcp:host:port          AF_INET (host "0.0.0.0" or a dotted quad)
@@ -23,6 +27,8 @@ namespace gdpr::net {
 // failure.
 int Listen(const std::string& addr, std::string* err);
 int Dial(const std::string& addr, int timeout_ms, std::string* err);
+// Accepts one pending connection on a Listen() fd; -1 when none is pending.
+int Accept(int listen_fd);
 
 // A connected AF_UNIX stream pair for in-process loopback transport.
 // Returns {server_fd, client_fd}, or {-1, -1} on failure.

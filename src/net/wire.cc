@@ -1,423 +1,386 @@
 #include "net/wire.h"
 
+#include <numeric>
+
 #include "common/coding.h"
+#include "gdpr/ops.h"
 
 namespace gdpr::net {
 
 namespace {
 
-// ---- primitive codecs ------------------------------------------------------
-// Every Get* returns false on truncation/overflow; the top-level decoders
-// turn that into one DataLoss with the failing op's name, which is all a
-// caller can act on anyway.
+// ---- the two codec directions ----------------------------------------------
+// Every layout below is a template over a coder C. Writer appends the wire
+// form of each field; Reader parses it back into the same field and fails
+// the whole decode on truncation or an out-of-range value. So a layout's
+// bytes and its decode checks are one function, and encode and decode can
+// never disagree about field order.
 
-void PutFixed32(std::string* dst, uint32_t v) {
-  for (int i = 0; i < 4; ++i) dst->push_back(char(uint8_t(v >> (8 * i))));
+class Writer {
+ public:
+  static constexpr bool kReading = false;
+  explicit Writer(std::string* out) : out_(out) {}
+
+  void U8(uint8_t v) { out_->push_back(char(v)); }
+  void Bool(bool v) { U8(v ? 1 : 0); }
+  template <typename E>
+  void Enum(E v, E /*max*/) { U8(uint8_t(v)); }
+  void Varint(uint64_t v) { PutVarint64(out_, v); }
+  void Fixed(uint64_t v) { PutFixed64(out_, v); }
+  void Fixed(int64_t v) { PutFixed64(out_, uint64_t(v)); }
+  void Str(std::string_view s) { PutLengthPrefixed(out_, s); }
+  // Records ride as their existing compact serialization (gdpr/record.cc),
+  // the one codec the AOF, migration and the wire share.
+  void Rec(const GdprRecord& r) { Str(r.Serialize()); }
+  template <typename T, typename F>
+  void List(const std::vector<T>& v, F each) {
+    Varint(v.size());
+    for (const T& x : v) each(x);
+  }
+  template <typename T, typename F>
+  void Opt(const std::optional<T>& v, bool present, F each) {
+    if (present) each(*v);
+  }
+  void Check(bool /*valid*/) {}
+
+ private:
+  std::string* out_;
+};
+
+class Reader {
+ public:
+  static constexpr bool kReading = true;
+  explicit Reader(std::string_view in) : in_(in) {}
+
+  bool ok() const { return ok_; }
+  bool done() const { return in_.empty(); }
+  void Check(bool valid) { ok_ = ok_ && valid; }
+
+  void U8(uint8_t& v) {
+    Check(!in_.empty());
+    if (!ok_) return;
+    v = uint8_t(in_.front());
+    in_.remove_prefix(1);
+  }
+  void Bool(bool& v) {
+    uint8_t b = 0;
+    U8(b);
+    v = b != 0;
+  }
+  // Enum bytes are range-checked: no out-of-range enumerator leaves here.
+  template <typename E>
+  void Enum(E& v, E max) {
+    uint8_t b = 0;
+    U8(b);
+    Check(b <= uint8_t(max));
+    if (ok_) v = E(b);
+  }
+  void Varint(uint64_t& v) { Check(ok_ && GetVarint64(&in_, &v)); }
+  void Varint(uint32_t& v) {
+    uint64_t w = 0;
+    Varint(w);
+    Check(w < (uint64_t(1) << 32));
+    v = uint32_t(w);
+  }
+  void Fixed(uint64_t& v) { Check(ok_ && GetFixed64(&in_, &v)); }
+  void Fixed(int64_t& v) {
+    uint64_t w = 0;
+    Fixed(w);
+    v = int64_t(w);
+  }
+  void Str(std::string& s) {
+    std::string_view v;
+    Check(ok_ && GetLengthPrefixed(&in_, &v));
+    s.assign(v);
+  }
+  void Rec(GdprRecord& r) {
+    std::string_view blob;
+    Check(ok_ && GetLengthPrefixed(&in_, &blob));
+    if (!ok_) return;
+    StatusOr<GdprRecord> rec = GdprRecord::Parse(blob);
+    Check(rec.ok());
+    if (ok_) r = std::move(rec.value());
+  }
+  // A count is bounded by the bytes left (every element takes at least
+  // one), so a corrupt count cannot drive a huge reservation.
+  template <typename T, typename F>
+  void List(std::vector<T>& v, F each) {
+    uint64_t n = 0;
+    Varint(n);
+    Check(n <= in_.size());
+    if (ok_) v.reserve(size_t(n));
+    for (uint64_t i = 0; i < n && ok_; ++i) each(v.emplace_back());
+  }
+  template <typename T, typename F>
+  void Opt(std::optional<T>& v, bool present, F each) {
+    if (present) each(v.emplace());
+  }
+
+ private:
+  std::string_view in_;
+  bool ok_ = true;
+};
+
+// ---- shared field groups ---------------------------------------------------
+// M is `const T` when writing and `T` when reading.
+
+template <typename C, typename M>
+void CodeStatus(C& c, M& s) {
+  StatusCode code = s.code();
+  std::string message = s.message();
+  c.Enum(code, StatusCode::kUnavailable);
+  c.Str(message);
+  if constexpr (C::kReading) s = Status(code, std::move(message));
 }
 
-uint32_t ReadFixed32(const char* p) {
-  uint32_t out = 0;
-  for (int i = 0; i < 4; ++i) out |= uint32_t(uint8_t(p[i])) << (8 * i);
+template <typename C, typename M>
+void CodeActor(C& c, M& a) {
+  c.Enum(a.role, Actor::Role::kRegulator);
+  c.Str(a.id);
+  c.Str(a.purpose);
+}
+
+// Presence bitmap, then only the fields that are set.
+template <typename C, typename M>
+void CodeUpdate(C& c, M& u) {
+  uint8_t bits = uint8_t(u.user.has_value() | u.purposes.has_value() << 1 |
+                         u.objections.has_value() << 2 |
+                         u.shared_with.has_value() << 3 |
+                         u.origin.has_value() << 4 |
+                         u.expiry_micros.has_value() << 5);
+  c.U8(bits);
+  const auto str = [&](auto& s) { c.Str(s); };
+  const auto list = [&](auto& v) { c.List(v, str); };
+  c.Opt(u.user, bits & 1, str);
+  c.Opt(u.purposes, bits & 2, list);
+  c.Opt(u.objections, bits & 4, list);
+  c.Opt(u.shared_with, bits & 8, list);
+  c.Opt(u.origin, bits & 16, str);
+  c.Opt(u.expiry_micros, bits & 32, [&](auto& t) { c.Fixed(t); });
+}
+
+// ---- request layouts (after the actor) -------------------------------------
+
+template <typename C, typename R>
+void EmptyRequest(C&, R&) {}
+
+template <typename C, typename R>
+void KeyRequest(C& c, R& r) { c.Str(r.key); }
+
+template <typename C, typename R>
+void RecordRequest(C& c, R& r) { c.Rec(r.record); }
+
+template <typename C, typename R>
+void KeyDataRequest(C& c, R& r) {
+  c.Str(r.key);
+  c.Str(r.data);
+}
+
+template <typename C, typename R>
+void KeyUpdateRequest(C& c, R& r) {
+  c.Str(r.key);
+  CodeUpdate(c, r.update);
+}
+
+template <typename C, typename R>
+void TimeRangeRequest(C& c, R& r) {
+  c.Fixed(r.from_micros);
+  c.Fixed(r.to_micros);
+}
+
+template <typename C, typename R>
+void SlotSpecRequest(C& c, R& r) {
+  c.Varint(r.slot);
+  c.Varint(r.num_slots);
+  c.Check(r.num_slots != 0 && r.slot < r.num_slots);
+}
+
+// ---- response layouts (after the op status) --------------------------------
+
+template <typename C, typename R>
+void EmptyResponse(C&, R&) {}
+
+template <typename C, typename R>
+void RecordResponse(C& c, R& r) { c.Rec(r.record); }
+
+// Metadata rides as a record with empty key and data; a second layout
+// would just be a second set of truncation bugs.
+template <typename C, typename R>
+void MetadataResponse(C& c, R& r) {
+  GdprRecord shell;
+  if constexpr (!C::kReading) shell.metadata = r.metadata;
+  c.Rec(shell);
+  if constexpr (C::kReading) r.metadata = std::move(shell.metadata);
+}
+
+template <typename C, typename R>
+void RecordsResponse(C& c, R& r) {
+  c.List(r.records, [&](auto& rec) { c.Rec(rec); });
+}
+
+template <typename C, typename R>
+void CountResponse(C& c, R& r) { c.Varint(r.count); }
+
+template <typename C, typename R>
+void FlagResponse(C& c, R& r) { c.Bool(r.flag); }
+
+template <typename C, typename R>
+void EntriesResponse(C& c, R& r) {
+  c.List(r.entries, [&](auto& e) {
+    c.Fixed(e.timestamp_micros);
+    c.Str(e.actor_id);
+    c.Enum(e.role, Actor::Role::kRegulator);
+    c.Str(e.op);
+    c.Str(e.key);
+    c.Bool(e.allowed);
+  });
+}
+
+template <typename C, typename R>
+void FeaturesResponse(C& c, R& r) {
+  c.Str(r.features.backend);
+  c.List(r.features.rows, [&](auto& row) {
+    c.Str(row.article);
+    c.Str(row.requirement);
+    c.Str(row.mechanism);
+    c.Bool(row.supported);
+  });
+}
+
+template <typename C, typename R>
+void HealthResponse(C& c, R& r) {
+  c.Enum(r.health, HealthState::kFailed);
+  CodeStatus(c, r.health_cause);
+}
+
+template <typename C, typename R>
+void SnapshotResponse(C& c, R& r) {
+  const auto named = [&](auto& kv) {
+    c.Str(kv.first);
+    c.Fixed(kv.second);
+  };
+  c.List(r.snapshot.counters, named);
+  c.List(r.snapshot.gauges, named);
+  c.List(r.snapshot.histograms, [&](auto& h) {
+    c.Str(h.name);
+    for (auto& n : h.counts) c.Varint(n);
+    c.Fixed(h.sum);
+    if constexpr (C::kReading) {
+      h.count = std::accumulate(h.counts.begin(), h.counts.end(), uint64_t{0});
+    }
+  });
+}
+
+template <typename C, typename R>
+void CompactionStatsResponse(C& c, R& r) {
+  auto& s = r.stats;
+  c.Fixed(s.compactions);
+  c.Fixed(s.log_bytes);
+  c.Fixed(s.live_bytes);
+  c.Fixed(s.last_bytes_before);
+  c.Fixed(s.last_bytes_after);
+  c.Fixed(s.last_compaction_micros);
+  c.Fixed(s.erasure_barrier);
+  c.Fixed(s.erasures_pending_compaction);
+  c.Fixed(s.audit_segments);
+  c.Fixed(s.audit_dropped_entries);
+}
+
+template <typename C, typename R>
+void KeysResponse(C& c, R& r) { c.List(r.keys, [&](auto& k) { c.Str(k); }); }
+
+template <typename C, typename R>
+void ChainVerdictResponse(C& c, R& r) {
+  c.Bool(r.flag);
+  c.Str(r.head_hash);
+}
+
+// ---- whole messages --------------------------------------------------------
+// The op table picks each op's layout.
+
+template <typename C, typename R>
+void RequestBody(C& c, R& r) {
+  CodeActor(c, r.actor);
+  switch (r.op) {
+#define GDPR_WIRE_REQUEST(op, tag, name, request, response) \
+  case WireOp::op:                                          \
+    return request##Request(c, r);
+    GDPR_WIRE_OPS(GDPR_WIRE_REQUEST)
+#undef GDPR_WIRE_REQUEST
+  }
+}
+
+template <typename C, typename R>
+void ResponseBody(C& c, R& r) {
+  CodeStatus(c, r.status);
+  switch (r.op) {
+#define GDPR_WIRE_RESPONSE(op, tag, name, request, response) \
+  case WireOp::op:                                           \
+    return response##Response(c, r);
+    GDPR_WIRE_OPS(GDPR_WIRE_RESPONSE)
+#undef GDPR_WIRE_RESPONSE
+  }
+}
+
+// payload = [u8 version][u8 op tag][body]
+template <typename M, typename F>
+std::string Encode(const M& msg, F body) {
+  std::string out;
+  Writer w(&out);
+  w.U8(kWireVersion);
+  w.U8(uint8_t(msg.op));
+  body(w, msg);
   return out;
 }
 
-bool GetByte(std::string_view* in, uint8_t* v) {
-  if (in->empty()) return false;
-  *v = uint8_t(in->front());
-  in->remove_prefix(1);
-  return true;
-}
-
-void PutString(std::string* dst, std::string_view s) {
-  PutLengthPrefixed(dst, s);
-}
-
-bool GetString(std::string_view* in, std::string* out) {
-  std::string_view s;
-  if (!GetLengthPrefixed(in, &s)) return false;
-  out->assign(s);
-  return true;
-}
-
-void PutStringList(std::string* dst, const std::vector<std::string>& v) {
-  PutVarint64(dst, v.size());
-  for (const auto& s : v) PutString(dst, s);
-}
-
-bool GetStringList(std::string_view* in, std::vector<std::string>* out) {
-  uint64_t n = 0;
-  if (!GetVarint64(in, &n) || n > in->size()) return false;
-  out->clear();
-  out->reserve(size_t(n));
-  for (uint64_t i = 0; i < n; ++i) {
-    std::string s;
-    if (!GetString(in, &s)) return false;
-    out->push_back(std::move(s));
+// `kind` names the message ("request"/"response") in error statuses.
+template <typename M, typename F>
+Status Decode(std::string_view payload, const char* kind, M* msg, F body) {
+  Reader in(payload);
+  uint8_t version = 0, tag = 0;
+  in.U8(version);
+  in.U8(tag);
+  if (!in.ok()) {
+    return Status::DataLoss(std::string("truncated wire ") + kind + " header");
   }
-  return true;
-}
-
-// ---- domain codecs ---------------------------------------------------------
-
-void PutStatus(std::string* dst, const Status& s) {
-  dst->push_back(char(uint8_t(s.code())));
-  PutString(dst, s.message());
-}
-
-bool GetStatus(std::string_view* in, Status* out) {
-  uint8_t code = 0;
-  std::string message;
-  if (!GetByte(in, &code) || !GetString(in, &message)) return false;
-  if (code > uint8_t(StatusCode::kUnavailable)) return false;
-  *out = Status(StatusCode(code), std::move(message));
-  return true;
-}
-
-void PutActor(std::string* dst, const Actor& a) {
-  dst->push_back(char(uint8_t(a.role)));
-  PutString(dst, a.id);
-  PutString(dst, a.purpose);
-}
-
-bool GetActor(std::string_view* in, Actor* out) {
-  uint8_t role = 0;
-  if (!GetByte(in, &role) ||
-      role > uint8_t(Actor::Role::kRegulator)) {
-    return false;
+  if (version != kWireVersion) {
+    return Status::InvalidArgument(
+        std::string("unsupported wire ") + kind + " version " +
+        std::to_string(version) + " (this node speaks " +
+        std::to_string(kWireVersion) + ")");
   }
-  out->role = Actor::Role(role);
-  return GetString(in, &out->id) && GetString(in, &out->purpose);
-}
-
-// Records ride as their existing compact serialization (gdpr/record.cc) —
-// the one codec the AOF, migration, and now the wire all share, so a
-// record that round-trips the log round-trips the network by construction.
-void PutRecord(std::string* dst, const GdprRecord& rec) {
-  PutString(dst, rec.Serialize());
-}
-
-bool GetRecord(std::string_view* in, GdprRecord* out) {
-  std::string_view blob;
-  if (!GetLengthPrefixed(in, &blob)) return false;
-  auto rec = GdprRecord::Parse(blob);
-  if (!rec.ok()) return false;
-  *out = std::move(rec.value());
-  return true;
-}
-
-// Metadata reuses the record codec with empty key/data; a second layout
-// would just be a second set of truncation bugs.
-void PutMetadata(std::string* dst, const GdprMetadata& m) {
-  GdprRecord shell;
-  shell.metadata = m;
-  PutRecord(dst, shell);
-}
-
-bool GetMetadata(std::string_view* in, GdprMetadata* out) {
-  GdprRecord shell;
-  if (!GetRecord(in, &shell)) return false;
-  *out = std::move(shell.metadata);
-  return true;
-}
-
-void PutRecordVector(std::string* dst, const std::vector<GdprRecord>& v) {
-  PutVarint64(dst, v.size());
-  for (const auto& rec : v) PutRecord(dst, rec);
-}
-
-bool GetRecordVector(std::string_view* in, std::vector<GdprRecord>* out) {
-  uint64_t n = 0;
-  if (!GetVarint64(in, &n) || n > in->size()) return false;
-  out->clear();
-  out->reserve(size_t(n));
-  for (uint64_t i = 0; i < n; ++i) {
-    GdprRecord rec;
-    if (!GetRecord(in, &rec)) return false;
-    out->push_back(std::move(rec));
+  if (!ValidWireOp(tag)) {
+    return Status::InvalidArgument(std::string("unknown wire ") + kind +
+                                   " op tag " + std::to_string(tag));
   }
-  return true;
-}
-
-// MetadataUpdate: presence bitmap, then only the set fields.
-enum UpdateBits : uint8_t {
-  kHasUser = 1 << 0,
-  kHasPurposes = 1 << 1,
-  kHasObjections = 1 << 2,
-  kHasSharedWith = 1 << 3,
-  kHasOrigin = 1 << 4,
-  kHasExpiry = 1 << 5,
-};
-
-void PutUpdate(std::string* dst, const MetadataUpdate& u) {
-  uint8_t bits = 0;
-  if (u.user) bits |= kHasUser;
-  if (u.purposes) bits |= kHasPurposes;
-  if (u.objections) bits |= kHasObjections;
-  if (u.shared_with) bits |= kHasSharedWith;
-  if (u.origin) bits |= kHasOrigin;
-  if (u.expiry_micros) bits |= kHasExpiry;
-  dst->push_back(char(bits));
-  if (u.user) PutString(dst, *u.user);
-  if (u.purposes) PutStringList(dst, *u.purposes);
-  if (u.objections) PutStringList(dst, *u.objections);
-  if (u.shared_with) PutStringList(dst, *u.shared_with);
-  if (u.origin) PutString(dst, *u.origin);
-  if (u.expiry_micros) PutFixed64(dst, uint64_t(*u.expiry_micros));
-}
-
-bool GetUpdate(std::string_view* in, MetadataUpdate* out) {
-  uint8_t bits = 0;
-  if (!GetByte(in, &bits)) return false;
-  *out = MetadataUpdate{};
-  if (bits & kHasUser) {
-    out->user.emplace();
-    if (!GetString(in, &*out->user)) return false;
-  }
-  if (bits & kHasPurposes) {
-    out->purposes.emplace();
-    if (!GetStringList(in, &*out->purposes)) return false;
-  }
-  if (bits & kHasObjections) {
-    out->objections.emplace();
-    if (!GetStringList(in, &*out->objections)) return false;
-  }
-  if (bits & kHasSharedWith) {
-    out->shared_with.emplace();
-    if (!GetStringList(in, &*out->shared_with)) return false;
-  }
-  if (bits & kHasOrigin) {
-    out->origin.emplace();
-    if (!GetString(in, &*out->origin)) return false;
-  }
-  if (bits & kHasExpiry) {
-    uint64_t v = 0;
-    if (!GetFixed64(in, &v)) return false;
-    out->expiry_micros = int64_t(v);
-  }
-  return true;
-}
-
-void PutAuditEntry(std::string* dst, const AuditEntry& e) {
-  PutFixed64(dst, uint64_t(e.timestamp_micros));
-  PutString(dst, e.actor_id);
-  dst->push_back(char(uint8_t(e.role)));
-  PutString(dst, e.op);
-  PutString(dst, e.key);
-  dst->push_back(e.allowed ? char(1) : char(0));
-}
-
-bool GetAuditEntry(std::string_view* in, AuditEntry* e) {
-  uint64_t ts = 0;
-  uint8_t role = 0, allowed = 0;
-  if (!GetFixed64(in, &ts) || !GetString(in, &e->actor_id) ||
-      !GetByte(in, &role) || role > uint8_t(Actor::Role::kRegulator) ||
-      !GetString(in, &e->op) || !GetString(in, &e->key) ||
-      !GetByte(in, &allowed)) {
-    return false;
-  }
-  e->timestamp_micros = int64_t(ts);
-  e->role = Actor::Role(role);
-  e->allowed = allowed != 0;
-  return true;
-}
-
-void PutFeatures(std::string* dst, const Features& f) {
-  PutString(dst, f.backend);
-  PutVarint64(dst, f.rows.size());
-  for (const auto& row : f.rows) {
-    PutString(dst, row.article);
-    PutString(dst, row.requirement);
-    PutString(dst, row.mechanism);
-    dst->push_back(row.supported ? char(1) : char(0));
-  }
-}
-
-bool GetFeatures(std::string_view* in, Features* f) {
-  if (!GetString(in, &f->backend)) return false;
-  uint64_t n = 0;
-  if (!GetVarint64(in, &n) || n > in->size()) return false;
-  f->rows.clear();
-  f->rows.reserve(size_t(n));
-  for (uint64_t i = 0; i < n; ++i) {
-    FeatureRow row;
-    uint8_t supported = 0;
-    if (!GetString(in, &row.article) || !GetString(in, &row.requirement) ||
-        !GetString(in, &row.mechanism) || !GetByte(in, &supported)) {
-      return false;
-    }
-    row.supported = supported != 0;
-    f->rows.push_back(std::move(row));
-  }
-  return true;
-}
-
-void PutCompactionStats(std::string* dst, const CompactionStats& s) {
-  PutFixed64(dst, s.compactions);
-  PutFixed64(dst, s.log_bytes);
-  PutFixed64(dst, s.live_bytes);
-  PutFixed64(dst, s.last_bytes_before);
-  PutFixed64(dst, s.last_bytes_after);
-  PutFixed64(dst, uint64_t(s.last_compaction_micros));
-  PutFixed64(dst, s.erasure_barrier);
-  PutFixed64(dst, s.erasures_pending_compaction);
-  PutFixed64(dst, s.audit_segments);
-  PutFixed64(dst, s.audit_dropped_entries);
-}
-
-bool GetCompactionStats(std::string_view* in, CompactionStats* s) {
-  uint64_t last_micros = 0;
-  if (!GetFixed64(in, &s->compactions) || !GetFixed64(in, &s->log_bytes) ||
-      !GetFixed64(in, &s->live_bytes) ||
-      !GetFixed64(in, &s->last_bytes_before) ||
-      !GetFixed64(in, &s->last_bytes_after) || !GetFixed64(in, &last_micros) ||
-      !GetFixed64(in, &s->erasure_barrier) ||
-      !GetFixed64(in, &s->erasures_pending_compaction) ||
-      !GetFixed64(in, &s->audit_segments) ||
-      !GetFixed64(in, &s->audit_dropped_entries)) {
-    return false;
-  }
-  s->last_compaction_micros = int64_t(last_micros);
-  return true;
-}
-
-void PutSnapshot(std::string* dst, const obs::RegistrySnapshot& snap) {
-  PutVarint64(dst, snap.counters.size());
-  for (const auto& [name, v] : snap.counters) {
-    PutString(dst, name);
-    PutFixed64(dst, v);
-  }
-  PutVarint64(dst, snap.gauges.size());
-  for (const auto& [name, v] : snap.gauges) {
-    PutString(dst, name);
-    PutFixed64(dst, uint64_t(v));
-  }
-  PutVarint64(dst, snap.histograms.size());
-  for (const auto& h : snap.histograms) {
-    PutString(dst, h.name);
-    for (const uint64_t c : h.counts) PutVarint64(dst, c);
-    PutFixed64(dst, h.sum);
-  }
-}
-
-bool GetSnapshot(std::string_view* in, obs::RegistrySnapshot* snap) {
-  uint64_t n = 0;
-  if (!GetVarint64(in, &n) || n > in->size()) return false;
-  snap->counters.clear();
-  snap->counters.reserve(size_t(n));
-  for (uint64_t i = 0; i < n; ++i) {
-    std::string name;
-    uint64_t v = 0;
-    if (!GetString(in, &name) || !GetFixed64(in, &v)) return false;
-    snap->counters.emplace_back(std::move(name), v);
-  }
-  if (!GetVarint64(in, &n) || n > in->size()) return false;
-  snap->gauges.clear();
-  snap->gauges.reserve(size_t(n));
-  for (uint64_t i = 0; i < n; ++i) {
-    std::string name;
-    uint64_t v = 0;
-    if (!GetString(in, &name) || !GetFixed64(in, &v)) return false;
-    snap->gauges.emplace_back(std::move(name), int64_t(v));
-  }
-  if (!GetVarint64(in, &n) || n > in->size()) return false;
-  snap->histograms.clear();
-  snap->histograms.reserve(size_t(n));
-  for (uint64_t i = 0; i < n; ++i) {
-    obs::HistogramSnapshot h;
-    if (!GetString(in, &h.name)) return false;
-    h.count = 0;
-    for (size_t b = 0; b < obs::Histogram::kBuckets; ++b) {
-      if (!GetVarint64(in, &h.counts[b])) return false;
-      h.count += h.counts[b];
-    }
-    if (!GetFixed64(in, &h.sum)) return false;
-    snap->histograms.push_back(std::move(h));
-  }
-  return true;
-}
-
-Status Malformed(const char* what, WireOp op) {
-  return Status::DataLoss(std::string("malformed wire ") + what + " for " +
-                          WireOpName(op));
+  *msg = M{};
+  msg->op = WireOp(tag);
+  body(in, *msg);
+  if (in.ok() && in.done()) return Status::OK();
+  const char* what = in.ok() ? "trailing bytes in" : "malformed";
+  return Status::DataLoss(std::string(what) + " wire " + kind + " for " +
+                          WireOpName(msg->op));
 }
 
 }  // namespace
 
 bool ValidWireOp(uint8_t tag) {
   switch (WireOp(tag)) {
-    case WireOp::kPing:
-    case WireOp::kOpen:
-    case WireOp::kClose:
-    case WireOp::kCreateRecord:
-    case WireOp::kReadData:
-    case WireOp::kReadMeta:
-    case WireOp::kReadMetaUser:
-    case WireOp::kReadMetaPurpose:
-    case WireOp::kReadMetaSharing:
-    case WireOp::kReadRecordsUser:
-    case WireOp::kUpdateMeta:
-    case WireOp::kUpdateData:
-    case WireOp::kDeleteKey:
-    case WireOp::kDeleteUser:
-    case WireOp::kDeleteExpired:
-    case WireOp::kVerifyDeletion:
-    case WireOp::kGetLogs:
-    case WireOp::kGetFeatures:
-    case WireOp::kScanRecords:
-    case WireOp::kRecordCount:
-    case WireOp::kTotalBytes:
-    case WireOp::kReset:
-    case WireOp::kHealth:
-    case WireOp::kStatsSnapshot:
-    case WireOp::kCompactNow:
-    case WireOp::kCompactionStats:
-    case WireOp::kExportRecords:
-    case WireOp::kExportTombstones:
-    case WireOp::kImportRecord:
-    case WireOp::kAdoptTombstone:
-    case WireOp::kEvictRecord:
-    case WireOp::kClearTombstone:
-    case WireOp::kVerifyAuditChain:
-      return true;
+#define GDPR_WIRE_VALID(op, tag, name, request, response) case WireOp::op:
+    GDPR_WIRE_OPS(GDPR_WIRE_VALID)
+#undef GDPR_WIRE_VALID
+    return true;
   }
   return false;
 }
 
 const char* WireOpName(WireOp op) {
   switch (op) {
-    case WireOp::kPing: return "PING";
-    case WireOp::kOpen: return "OPEN";
-    case WireOp::kClose: return "CLOSE";
-    case WireOp::kCreateRecord: return ops::kCreate;
-    case WireOp::kReadData: return ops::kReadData;
-    case WireOp::kReadMeta: return ops::kReadMeta;
-    case WireOp::kReadMetaUser: return ops::kReadMetaUser;
-    case WireOp::kReadMetaPurpose: return ops::kReadMetaPurpose;
-    case WireOp::kReadMetaSharing: return ops::kReadMetaSharing;
-    case WireOp::kReadRecordsUser: return ops::kReadRecordsUser;
-    case WireOp::kUpdateMeta: return ops::kUpdateMeta;
-    case WireOp::kUpdateData: return ops::kUpdateData;
-    case WireOp::kDeleteKey: return ops::kDeleteKey;
-    case WireOp::kDeleteUser: return ops::kDeleteUser;
-    case WireOp::kDeleteExpired: return ops::kDeleteExpired;
-    case WireOp::kVerifyDeletion: return ops::kVerifyDeletion;
-    case WireOp::kGetLogs: return ops::kGetLogs;
-    case WireOp::kGetFeatures: return ops::kGetFeatures;
-    case WireOp::kScanRecords: return ops::kScanRecords;
-    case WireOp::kRecordCount: return "RECORD-COUNT";
-    case WireOp::kTotalBytes: return "TOTAL-BYTES";
-    case WireOp::kReset: return "RESET";
-    case WireOp::kHealth: return "HEALTH";
-    case WireOp::kStatsSnapshot: return "STATS-SNAPSHOT";
-    case WireOp::kCompactNow: return ops::kCompact;
-    case WireOp::kCompactionStats: return "COMPACTION-STATS";
-    case WireOp::kExportRecords: return "EXPORT-RECORDS";
-    case WireOp::kExportTombstones: return "EXPORT-TOMBSTONES";
-    case WireOp::kImportRecord: return "IMPORT-RECORD";
-    case WireOp::kAdoptTombstone: return "ADOPT-TOMBSTONE";
-    case WireOp::kEvictRecord: return "EVICT-RECORD";
-    case WireOp::kClearTombstone: return "CLEAR-TOMBSTONE";
-    case WireOp::kVerifyAuditChain: return "VERIFY-AUDIT-CHAIN";
+#define GDPR_WIRE_NAME(op, tag, name, request, response) \
+  case WireOp::op:                                       \
+    return name;
+    GDPR_WIRE_OPS(GDPR_WIRE_NAME)
+#undef GDPR_WIRE_NAME
   }
   return "UNKNOWN";
 }
@@ -432,312 +395,27 @@ uint32_t SlotForKey(std::string_view key, uint32_t num_slots) {
 }
 
 std::string EncodeRequest(const WireRequest& req) {
-  std::string out;
-  out.push_back(char(kWireVersion));
-  out.push_back(char(uint8_t(req.op)));
-  PutActor(&out, req.actor);
-  switch (req.op) {
-    case WireOp::kReadData:
-    case WireOp::kReadMeta:
-    case WireOp::kDeleteKey:
-    case WireOp::kVerifyDeletion:
-    case WireOp::kReadMetaUser:
-    case WireOp::kReadMetaPurpose:
-    case WireOp::kReadMetaSharing:
-    case WireOp::kReadRecordsUser:
-    case WireOp::kDeleteUser:
-    case WireOp::kAdoptTombstone:
-    case WireOp::kEvictRecord:
-    case WireOp::kClearTombstone:
-      PutString(&out, req.key);
-      break;
-    case WireOp::kCreateRecord:
-    case WireOp::kImportRecord:
-      PutRecord(&out, req.record);
-      break;
-    case WireOp::kUpdateData:
-      PutString(&out, req.key);
-      PutString(&out, req.data);
-      break;
-    case WireOp::kUpdateMeta:
-      PutString(&out, req.key);
-      PutUpdate(&out, req.update);
-      break;
-    case WireOp::kGetLogs:
-      PutFixed64(&out, uint64_t(req.from_micros));
-      PutFixed64(&out, uint64_t(req.to_micros));
-      break;
-    case WireOp::kExportRecords:
-    case WireOp::kExportTombstones:
-      PutVarint64(&out, req.slot);
-      PutVarint64(&out, req.num_slots);
-      break;
-    default:
-      break;  // actor-only request
-  }
-  return out;
+  return Encode(req, [](auto& c, auto& r) { RequestBody(c, r); });
 }
 
 Status DecodeRequest(std::string_view payload, WireRequest* req) {
-  uint8_t version = 0, tag = 0;
-  if (!GetByte(&payload, &version) || !GetByte(&payload, &tag)) {
-    return Status::DataLoss("truncated wire request header");
-  }
-  if (version != kWireVersion) {
-    return Status::InvalidArgument(
-        "unsupported wire version " + std::to_string(version) +
-        " (this node speaks " + std::to_string(kWireVersion) + ")");
-  }
-  if (!ValidWireOp(tag)) {
-    return Status::InvalidArgument("unknown wire op tag " +
-                                   std::to_string(tag));
-  }
-  *req = WireRequest{};
-  req->op = WireOp(tag);
-  if (!GetActor(&payload, &req->actor)) {
-    return Malformed("actor", req->op);
-  }
-  switch (req->op) {
-    case WireOp::kReadData:
-    case WireOp::kReadMeta:
-    case WireOp::kDeleteKey:
-    case WireOp::kVerifyDeletion:
-    case WireOp::kReadMetaUser:
-    case WireOp::kReadMetaPurpose:
-    case WireOp::kReadMetaSharing:
-    case WireOp::kReadRecordsUser:
-    case WireOp::kDeleteUser:
-    case WireOp::kAdoptTombstone:
-    case WireOp::kEvictRecord:
-    case WireOp::kClearTombstone:
-      if (!GetString(&payload, &req->key)) return Malformed("key", req->op);
-      break;
-    case WireOp::kCreateRecord:
-    case WireOp::kImportRecord:
-      if (!GetRecord(&payload, &req->record)) {
-        return Malformed("record", req->op);
-      }
-      break;
-    case WireOp::kUpdateData:
-      if (!GetString(&payload, &req->key) ||
-          !GetString(&payload, &req->data)) {
-        return Malformed("key/data", req->op);
-      }
-      break;
-    case WireOp::kUpdateMeta:
-      if (!GetString(&payload, &req->key) ||
-          !GetUpdate(&payload, &req->update)) {
-        return Malformed("metadata update", req->op);
-      }
-      break;
-    case WireOp::kGetLogs: {
-      uint64_t from = 0, to = 0;
-      if (!GetFixed64(&payload, &from) || !GetFixed64(&payload, &to)) {
-        return Malformed("time range", req->op);
-      }
-      req->from_micros = int64_t(from);
-      req->to_micros = int64_t(to);
-      break;
-    }
-    case WireOp::kExportRecords:
-    case WireOp::kExportTombstones: {
-      uint64_t slot = 0, num_slots = 0;
-      if (!GetVarint64(&payload, &slot) ||
-          !GetVarint64(&payload, &num_slots) || num_slots == 0 ||
-          num_slots >= (uint64_t(1) << 32) || slot >= num_slots) {
-        return Malformed("slot spec", req->op);
-      }
-      req->slot = uint32_t(slot);
-      req->num_slots = uint32_t(num_slots);
-      break;
-    }
-    default:
-      break;
-  }
-  if (!payload.empty()) return Malformed("trailing bytes", req->op);
-  return Status::OK();
+  return Decode(payload, "request", req,
+                [](auto& c, auto& r) { RequestBody(c, r); });
 }
 
 std::string EncodeResponse(const WireResponse& resp) {
-  std::string out;
-  out.push_back(char(kWireVersion));
-  out.push_back(char(uint8_t(resp.op)));
-  PutStatus(&out, resp.status);
-  switch (resp.op) {
-    case WireOp::kReadData:
-      PutRecord(&out, resp.record);
-      break;
-    case WireOp::kReadMeta:
-      PutMetadata(&out, resp.metadata);
-      break;
-    case WireOp::kReadMetaUser:
-    case WireOp::kReadMetaPurpose:
-    case WireOp::kReadMetaSharing:
-    case WireOp::kReadRecordsUser:
-    case WireOp::kScanRecords:
-    case WireOp::kExportRecords:
-      PutRecordVector(&out, resp.records);
-      break;
-    case WireOp::kDeleteUser:
-    case WireOp::kDeleteExpired:
-    case WireOp::kRecordCount:
-    case WireOp::kTotalBytes:
-      PutVarint64(&out, resp.count);
-      break;
-    case WireOp::kVerifyDeletion:
-      out.push_back(resp.flag ? char(1) : char(0));
-      break;
-    case WireOp::kGetLogs:
-      PutVarint64(&out, resp.entries.size());
-      for (const auto& e : resp.entries) PutAuditEntry(&out, e);
-      break;
-    case WireOp::kGetFeatures:
-      PutFeatures(&out, resp.features);
-      break;
-    case WireOp::kHealth:
-      out.push_back(char(uint8_t(resp.health)));
-      PutStatus(&out, resp.health_cause);
-      break;
-    case WireOp::kCompactNow:
-    case WireOp::kCompactionStats:
-      PutCompactionStats(&out, resp.stats);
-      break;
-    case WireOp::kStatsSnapshot:
-      PutSnapshot(&out, resp.snapshot);
-      break;
-    case WireOp::kExportTombstones:
-      PutStringList(&out, resp.keys);
-      break;
-    case WireOp::kVerifyAuditChain:
-      out.push_back(resp.flag ? char(1) : char(0));
-      PutString(&out, resp.head_hash);
-      break;
-    default:
-      break;  // status-only response
-  }
-  return out;
+  return Encode(resp, [](auto& c, auto& r) { ResponseBody(c, r); });
 }
 
 Status DecodeResponse(std::string_view payload, WireResponse* resp) {
-  uint8_t version = 0, tag = 0;
-  if (!GetByte(&payload, &version) || !GetByte(&payload, &tag)) {
-    return Status::DataLoss("truncated wire response header");
-  }
-  if (version != kWireVersion) {
-    return Status::InvalidArgument("unsupported wire response version " +
-                                   std::to_string(version));
-  }
-  if (!ValidWireOp(tag)) {
-    return Status::InvalidArgument("unknown wire response op tag " +
-                                   std::to_string(tag));
-  }
-  *resp = WireResponse{};
-  resp->op = WireOp(tag);
-  if (!GetStatus(&payload, &resp->status)) {
-    return Malformed("status", resp->op);
-  }
-  switch (resp->op) {
-    case WireOp::kReadData:
-      if (!GetRecord(&payload, &resp->record)) {
-        return Malformed("record", resp->op);
-      }
-      break;
-    case WireOp::kReadMeta:
-      if (!GetMetadata(&payload, &resp->metadata)) {
-        return Malformed("metadata", resp->op);
-      }
-      break;
-    case WireOp::kReadMetaUser:
-    case WireOp::kReadMetaPurpose:
-    case WireOp::kReadMetaSharing:
-    case WireOp::kReadRecordsUser:
-    case WireOp::kScanRecords:
-    case WireOp::kExportRecords:
-      if (!GetRecordVector(&payload, &resp->records)) {
-        return Malformed("record vector", resp->op);
-      }
-      break;
-    case WireOp::kDeleteUser:
-    case WireOp::kDeleteExpired:
-    case WireOp::kRecordCount:
-    case WireOp::kTotalBytes:
-      if (!GetVarint64(&payload, &resp->count)) {
-        return Malformed("count", resp->op);
-      }
-      break;
-    case WireOp::kVerifyDeletion: {
-      uint8_t flag = 0;
-      if (!GetByte(&payload, &flag)) return Malformed("flag", resp->op);
-      resp->flag = flag != 0;
-      break;
-    }
-    case WireOp::kGetLogs: {
-      uint64_t n = 0;
-      if (!GetVarint64(&payload, &n) || n > payload.size()) {
-        return Malformed("entry count", resp->op);
-      }
-      resp->entries.clear();
-      resp->entries.reserve(size_t(n));
-      for (uint64_t i = 0; i < n; ++i) {
-        AuditEntry e;
-        if (!GetAuditEntry(&payload, &e)) {
-          return Malformed("audit entry", resp->op);
-        }
-        resp->entries.push_back(std::move(e));
-      }
-      break;
-    }
-    case WireOp::kGetFeatures:
-      if (!GetFeatures(&payload, &resp->features)) {
-        return Malformed("features", resp->op);
-      }
-      break;
-    case WireOp::kHealth: {
-      uint8_t h = 0;
-      if (!GetByte(&payload, &h) ||
-          h > uint8_t(HealthState::kFailed) ||
-          !GetStatus(&payload, &resp->health_cause)) {
-        return Malformed("health", resp->op);
-      }
-      resp->health = HealthState(h);
-      break;
-    }
-    case WireOp::kCompactNow:
-    case WireOp::kCompactionStats:
-      if (!GetCompactionStats(&payload, &resp->stats)) {
-        return Malformed("compaction stats", resp->op);
-      }
-      break;
-    case WireOp::kStatsSnapshot:
-      if (!GetSnapshot(&payload, &resp->snapshot)) {
-        return Malformed("registry snapshot", resp->op);
-      }
-      break;
-    case WireOp::kExportTombstones:
-      if (!GetStringList(&payload, &resp->keys)) {
-        return Malformed("tombstone keys", resp->op);
-      }
-      break;
-    case WireOp::kVerifyAuditChain: {
-      uint8_t flag = 0;
-      if (!GetByte(&payload, &flag) ||
-          !GetString(&payload, &resp->head_hash)) {
-        return Malformed("chain verdict", resp->op);
-      }
-      resp->flag = flag != 0;
-      break;
-    }
-    default:
-      break;
-  }
-  if (!payload.empty()) return Malformed("trailing bytes", resp->op);
-  return Status::OK();
+  return Decode(payload, "response", resp,
+                [](auto& c, auto& r) { ResponseBody(c, r); });
 }
 
 std::string Frame(std::string_view payload) {
   std::string out;
   out.reserve(kFrameHeaderBytes + payload.size());
-  PutFixed32(&out, uint32_t(payload.size()));
+  for (int i = 0; i < 4; ++i) out.push_back(char(payload.size() >> (8 * i)));
   out.append(payload.data(), payload.size());
   return out;
 }
@@ -748,7 +426,8 @@ Status FrameBuffer::Next(std::string* payload, bool* have) {
     return Status::DataLoss("frame stream poisoned by oversized frame");
   }
   if (buf_.size() < kFrameHeaderBytes) return Status::OK();
-  const uint32_t len = ReadFixed32(buf_.data());
+  uint32_t len = 0;
+  for (int i = 0; i < 4; ++i) len |= uint32_t(uint8_t(buf_[i])) << (8 * i);
   if (len > kMaxFrameBytes) {
     // The reader has no way to find the next frame boundary after a bogus
     // length: poison, and let the transport drop the connection.

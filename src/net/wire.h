@@ -49,46 +49,57 @@ inline constexpr uint8_t kWireVersion = 1;
 inline constexpr uint32_t kMaxFrameBytes = 64u << 20;
 inline constexpr size_t kFrameHeaderBytes = 4;
 
-// Operation tags. Values are wire format — append only, never renumber.
+// The op table: the one normative list of wire ops. Each row is
+//   X(op, tag, name, request layout, response layout)
+// and generates the WireOp enumerator (tag values are wire format: append
+// only, never renumber), ValidWireOp, WireOpName and the codec's per-op
+// body selection. Every request starts with the actor and every response
+// with the op status; the layouts name what follows (wire.cc defines each
+// once, docs/WIRE_PROTOCOL.md lists their bytes).
+//
+// Tags group by kind: 1-3 connection, 10-25 the gdpr/ops.h vocabulary,
+// 30-34 store introspection, 40-41 erasure-aware compaction, 50-55 slot
+// migration (router-to-node only, never audited node-side), 60 per-node
+// audit chain verification (verdict + head hash).
+#define GDPR_WIRE_OPS(X)                                                 \
+  X(kPing, 1, "PING", Empty, Empty)                                      \
+  X(kOpen, 2, "OPEN", Empty, Empty)                                      \
+  X(kClose, 3, "CLOSE", Empty, Empty)                                    \
+  X(kCreateRecord, 10, ops::kCreate, Record, Empty)                      \
+  X(kReadData, 11, ops::kReadData, Key, Record)                          \
+  X(kReadMeta, 12, ops::kReadMeta, Key, Metadata)                        \
+  X(kReadMetaUser, 13, ops::kReadMetaUser, Key, Records)                 \
+  X(kReadMetaPurpose, 14, ops::kReadMetaPurpose, Key, Records)           \
+  X(kReadMetaSharing, 15, ops::kReadMetaSharing, Key, Records)           \
+  X(kReadRecordsUser, 16, ops::kReadRecordsUser, Key, Records)           \
+  X(kUpdateMeta, 17, ops::kUpdateMeta, KeyUpdate, Empty)                 \
+  X(kUpdateData, 18, ops::kUpdateData, KeyData, Empty)                   \
+  X(kDeleteKey, 19, ops::kDeleteKey, Key, Empty)                         \
+  X(kDeleteUser, 20, ops::kDeleteUser, Key, Count)                       \
+  X(kDeleteExpired, 21, ops::kDeleteExpired, Empty, Count)               \
+  X(kVerifyDeletion, 22, ops::kVerifyDeletion, Key, Flag)                \
+  X(kGetLogs, 23, ops::kGetLogs, TimeRange, Entries)                     \
+  X(kGetFeatures, 24, ops::kGetFeatures, Empty, Features)                \
+  X(kScanRecords, 25, ops::kScanRecords, Empty, Records)                 \
+  X(kRecordCount, 30, "RECORD-COUNT", Empty, Count)                      \
+  X(kTotalBytes, 31, "TOTAL-BYTES", Empty, Count)                        \
+  X(kReset, 32, "RESET", Empty, Empty)                                   \
+  X(kHealth, 33, "HEALTH", Empty, Health)                                \
+  X(kStatsSnapshot, 34, "STATS-SNAPSHOT", Empty, Snapshot)               \
+  X(kCompactNow, 40, ops::kCompact, Empty, CompactionStats)              \
+  X(kCompactionStats, 41, "COMPACTION-STATS", Empty, CompactionStats)    \
+  X(kExportRecords, 50, "EXPORT-RECORDS", SlotSpec, Records)             \
+  X(kExportTombstones, 51, "EXPORT-TOMBSTONES", SlotSpec, Keys)          \
+  X(kImportRecord, 52, "IMPORT-RECORD", Record, Empty)                   \
+  X(kAdoptTombstone, 53, "ADOPT-TOMBSTONE", Key, Empty)                  \
+  X(kEvictRecord, 54, "EVICT-RECORD", Key, Empty)                        \
+  X(kClearTombstone, 55, "CLEAR-TOMBSTONE", Key, Empty)                  \
+  X(kVerifyAuditChain, 60, "VERIFY-AUDIT-CHAIN", Empty, ChainVerdict)
+
 enum class WireOp : uint8_t {
-  kPing = 1,
-  kOpen = 2,
-  kClose = 3,
-  // The gdpr/ops.h vocabulary.
-  kCreateRecord = 10,
-  kReadData = 11,
-  kReadMeta = 12,
-  kReadMetaUser = 13,
-  kReadMetaPurpose = 14,
-  kReadMetaSharing = 15,
-  kReadRecordsUser = 16,
-  kUpdateMeta = 17,
-  kUpdateData = 18,
-  kDeleteKey = 19,
-  kDeleteUser = 20,
-  kDeleteExpired = 21,
-  kVerifyDeletion = 22,
-  kGetLogs = 23,
-  kGetFeatures = 24,
-  kScanRecords = 25,
-  // Store introspection.
-  kRecordCount = 30,
-  kTotalBytes = 31,
-  kReset = 32,
-  kHealth = 33,
-  kStatsSnapshot = 34,
-  // Erasure-aware compaction.
-  kCompactNow = 40,
-  kCompactionStats = 41,
-  // Slot migration (router-to-node only; never audited node-side).
-  kExportRecords = 50,
-  kExportTombstones = 51,
-  kImportRecord = 52,
-  kAdoptTombstone = 53,
-  kEvictRecord = 54,
-  kClearTombstone = 55,
-  // Per-node audit chain verification (returns ok + head hash).
-  kVerifyAuditChain = 60,
+#define GDPR_WIRE_ENUM(op, tag, name, request, response) op = tag,
+  GDPR_WIRE_OPS(GDPR_WIRE_ENUM)
+#undef GDPR_WIRE_ENUM
 };
 
 bool ValidWireOp(uint8_t tag);

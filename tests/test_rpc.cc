@@ -7,9 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <unistd.h>
 
+#include <chrono>
+#include <future>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster_store.h"
@@ -329,6 +334,63 @@ TEST(RpcClient, DeadHandleWithNoReconnectPathStaysCleanlyDead) {
       handle.ReadDataByKey(Actor::Controller(), "k").status().IsUnavailable());
   EXPECT_EQ(handle.RecordCount(), 0u);
   EXPECT_EQ(handle.GetHealth(), HealthState::kDegradedReadOnly);
+}
+
+// ---- non-blocking fds: the write budget holds -----------------------------
+
+bool NonBlocking(int fd) { return (fcntl(fd, F_GETFL) & O_NONBLOCK) != 0; }
+
+TEST(RpcSocket, WriteAllOnAnUnreadPeerGivesUpWithinItsBudget) {
+  // A peer that stops reading a large response must cost the writer its
+  // budget, not a hung thread: with a blocking fd, send() would sleep in
+  // the kernel and the poll budget would never fire.
+  auto [writer, peer] = StreamPair();
+  ASSERT_GE(writer, 0);
+  const std::string big(8 << 20, 'x');
+  std::promise<std::pair<Status, int64_t>> result;
+  std::future<std::pair<Status, int64_t>> done = result.get_future();
+  std::thread t([&, fd = writer] {
+    const auto start = std::chrono::steady_clock::now();
+    const Status s = WriteAll(fd, big, /*timeout_ms=*/200);
+    result.set_value({s, std::chrono::duration_cast<std::chrono::milliseconds>(
+                             std::chrono::steady_clock::now() - start)
+                             .count()});
+  });
+  const bool returned =
+      done.wait_for(std::chrono::seconds(2)) == std::future_status::ready;
+  CloseFd(peer);  // frees a writer stuck in send() so the test cannot hang
+  t.join();
+  ASSERT_TRUE(returned) << "WriteAll still blocked 2 s into a 200 ms budget";
+  const auto [s, elapsed_ms] = done.get();
+  EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
+  EXPECT_LT(elapsed_ms, 400);
+  CloseFd(writer);
+}
+
+TEST(RpcSocket, EveryFdTheLayerHandsOutIsNonBlocking) {
+  auto [server_end, client_end] = StreamPair();
+  EXPECT_TRUE(NonBlocking(server_end));
+  EXPECT_TRUE(NonBlocking(client_end));
+  CloseFd(server_end);
+  CloseFd(client_end);
+
+  const std::string path =
+      "/tmp/gdpr_rpc_nonblock_" + std::to_string(::getpid()) + ".sock";
+  std::string err;
+  const int listener = Listen("unix:" + path, &err);
+  ASSERT_GE(listener, 0) << err;
+  EXPECT_TRUE(NonBlocking(listener));
+  EXPECT_LT(Accept(listener), 0);  // nothing pending: returns at once
+  const int dialed = Dial("unix:" + path, 1000, &err);
+  ASSERT_GE(dialed, 0) << err;
+  EXPECT_TRUE(NonBlocking(dialed));
+  const int accepted = Accept(listener);
+  ASSERT_GE(accepted, 0);
+  EXPECT_TRUE(NonBlocking(accepted));
+  CloseFd(accepted);
+  CloseFd(dialed);
+  CloseFd(listener);
+  ::unlink(path.c_str());
 }
 
 // ---- unix-socket listener: genuinely cross-process-capable ----------------

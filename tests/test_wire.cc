@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -507,6 +508,44 @@ TEST(WireGolden, EveryOpFramesByteForByte) {
         << "request frame of " << WireOpName(g.op);
     EXPECT_EQ(Sha256::HexDigest(Frame(EncodeResponse(resp))), g.response)
         << "response frame of " << WireOpName(g.op);
+  }
+}
+
+// ---- the op table -----------------------------------------------------------
+
+std::vector<WireOp> TableOps() {
+  return {
+#define GDPR_TEST_OP(op, tag, name, request, response) WireOp::op,
+      GDPR_WIRE_OPS(GDPR_TEST_OP)
+#undef GDPR_TEST_OP
+  };
+}
+
+TEST(WireOpTable, ValidTagsAreExactlyTheTableRows) {
+  std::set<int> rows;
+  for (const WireOp op : TableOps()) rows.insert(int(op));
+  EXPECT_EQ(rows.size(), TableOps().size()) << "duplicate tag in the table";
+  for (int tag = 0; tag < 256; ++tag) {
+    EXPECT_EQ(ValidWireOp(uint8_t(tag)), rows.count(tag) == 1) << tag;
+  }
+}
+
+TEST(WireOpTable, NamesAreUniqueAndKnown) {
+  std::set<std::string> names;
+  for (const WireOp op : TableOps()) {
+    const std::string name = WireOpName(op);
+    EXPECT_NE(name, "UNKNOWN") << int(op);
+    EXPECT_TRUE(names.insert(name).second) << "duplicate name " << name;
+  }
+}
+
+// A row added without a test case here fails: every golden, round-trip,
+// truncation and fuzz test iterates AllRequests().
+TEST(WireOpTable, AllRequestsCoversEveryRow) {
+  std::set<WireOp> covered;
+  for (const WireRequest& req : AllRequests()) covered.insert(req.op);
+  for (const WireOp op : TableOps()) {
+    EXPECT_EQ(covered.count(op), 1u) << WireOpName(op) << " has no request";
   }
 }
 

@@ -25,14 +25,14 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "cluster/cluster_store.h"
 #include "common/string_util.h"
 #include "gdpr/kv_backend.h"
 #include "gdpr/rel_backend.h"
+#include "net/rpc_client.h"
 #include "net/rpc_server.h"
-#include "net/socket_io.h"
-#include "net/wire.h"
 
 namespace gdpr {
 namespace {
@@ -217,34 +217,20 @@ int RunServe(const Args& a) {
 // the wire — deliberately not via RemoteHandle, whose statsless degrade
 // masks connection errors a human running a CLI wants to see.
 int RunConnect(const Args& a) {
-  std::string err;
-  const int fd = net::Dial(a.connect, /*timeout_ms=*/5000, &err);
-  if (fd < 0) {
-    fprintf(stderr, "dial %s failed: %s\n", a.connect.c_str(), err.c_str());
-    return 1;
-  }
+  net::RemoteHandleOptions ro;
+  ro.timeout_ms = 5000;
+  ro.dial_addr = a.connect;
+  net::RemoteHandle node(/*fd=*/-1, std::move(ro));
   net::WireRequest req;
   req.op = net::WireOp::kStatsSnapshot;
   req.actor = Actor::Regulator();
-  Status s = net::WriteAll(fd, net::Frame(net::EncodeRequest(req)), 5000);
-  std::string payload;
-  net::FrameBuffer buf;
-  if (s.ok()) s = net::ReadFrame(fd, &buf, &payload, 5000);
-  net::CloseFd(fd);
-  if (!s.ok()) {
-    fprintf(stderr, "rpc to %s failed: %s\n", a.connect.c_str(),
-            s.ToString().c_str());
-    return 1;
-  }
-  net::WireResponse resp;
-  s = net::DecodeResponse(payload, &resp);
-  if (s.ok() && !resp.status.ok()) s = resp.status;
-  if (!s.ok()) {
+  const StatusOr<net::WireResponse> resp = node.Ask(req);
+  if (!resp.ok()) {
     fprintf(stderr, "snapshot from %s failed: %s\n", a.connect.c_str(),
-            s.ToString().c_str());
+            resp.status().ToString().c_str());
     return 1;
   }
-  PrintSnapshot(resp.snapshot, a.format);
+  PrintSnapshot(resp.value().snapshot, a.format);
   return 0;
 }
 
