@@ -123,8 +123,7 @@ void Serve(InProcessHandle& h, const WireRequest& req, WireResponse* resp) {
     case WireOp::kVerifyAuditChain: {
       AuditChainVerdict v = h.VerifyAuditChain().value();
       resp->flag = v.chain_ok;
-      resp->head_hash = std::move(v.head_hash);
-      return;
+      return Put(resp, std::move(v.head_hash), &R::head_hash);
     }
   }
 }

@@ -10,6 +10,8 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdlib>
 
 namespace gdpr::net {
@@ -69,7 +71,7 @@ int OpenSocket(const std::string& addr, int flags, sockaddr_storage* ss,
 // error. `what` names the stalled direction in the timeout message.
 Status WaitFor(int fd, short events, int timeout_ms, const char* what) {
   pollfd p{fd, events, 0};
-  int rc;
+  int rc = 0;
   do {
     rc = poll(&p, 1, timeout_ms);
   } while (rc < 0 && errno == EINTR);
@@ -138,6 +140,10 @@ void CloseFd(int fd) {
 }
 
 Status WriteAll(int fd, std::string_view data, int timeout_ms) {
+  // One budget for the whole buffer, not per wait: a peer that drains a
+  // little before each wait would otherwise stretch it without bound.
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(timeout_ms);
   while (!data.empty()) {
     const ssize_t n = send(fd, data.data(), data.size(), MSG_NOSIGNAL);
     if (n > 0) {
@@ -145,7 +151,10 @@ Status WriteAll(int fd, std::string_view data, int timeout_ms) {
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      Status s = WaitFor(fd, POLLOUT, timeout_ms, "write");
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          deadline - std::chrono::steady_clock::now());
+      Status s = WaitFor(fd, POLLOUT, int(std::max<int64_t>(0, left.count())),
+                         "write");
       if (!s.ok()) return s;
       continue;
     }

@@ -37,7 +37,8 @@ std::pair<int, int> StreamPair();
 void CloseFd(int fd);
 
 // Writes the whole buffer, polling for writability between partial sends.
-// Unavailable on timeout or a dead peer; never raises SIGPIPE.
+// Unavailable when the whole buffer is not sent within timeout_ms, or on a
+// dead peer; never raises SIGPIPE.
 Status WriteAll(int fd, std::string_view data, int timeout_ms);
 
 // Reads from fd into buf until one complete frame pops out, polling with

@@ -1,5 +1,6 @@
 #include "net/wire.h"
 
+#include <algorithm>
 #include <numeric>
 
 #include "common/coding.h"
@@ -14,7 +15,8 @@ namespace {
 // form of each field; Reader parses it back into the same field and fails
 // the whole decode on truncation or an out-of-range value. So a layout's
 // bytes and its decode checks are one function, and encode and decode can
-// never disagree about field order.
+// never disagree about field order. Decode resets the message first, so
+// every field a Reader fills starts empty.
 
 class Writer {
  public:
@@ -83,11 +85,9 @@ class Reader {
     v = uint32_t(w);
   }
   void Fixed(uint64_t& v) { Check(ok_ && GetFixed64(&in_, &v)); }
-  void Fixed(int64_t& v) {
-    uint64_t w = 0;
-    Fixed(w);
-    v = int64_t(w);
-  }
+  // Signed fields travel as their two's-complement bits; reading an object
+  // through its unsigned counterpart type is well-defined.
+  void Fixed(int64_t& v) { Fixed(reinterpret_cast<uint64_t&>(v)); }
   void Str(std::string& s) {
     std::string_view v;
     Check(ok_ && GetLengthPrefixed(&in_, &v));
@@ -102,13 +102,15 @@ class Reader {
     if (ok_) r = std::move(rec.value());
   }
   // A count is bounded by the bytes left (every element takes at least
-  // one), so a corrupt count cannot drive a huge reservation.
+  // one), and so is the up-front reservation: an element can be far larger
+  // in memory than on the wire (a record is ~200 bytes, its smallest
+  // encoding one), so a corrupt count must not size the allocation.
   template <typename T, typename F>
   void List(std::vector<T>& v, F each) {
     uint64_t n = 0;
     Varint(n);
     Check(n <= in_.size());
-    if (ok_) v.reserve(size_t(n));
+    if (ok_) v.reserve(size_t(std::min<uint64_t>(n, in_.size() / sizeof(T))));
     for (uint64_t i = 0; i < n && ok_; ++i) each(v.emplace_back());
   }
   template <typename T, typename F>
@@ -143,11 +145,10 @@ void CodeActor(C& c, M& a) {
 // Presence bitmap, then only the fields that are set.
 template <typename C, typename M>
 void CodeUpdate(C& c, M& u) {
-  uint8_t bits = uint8_t(u.user.has_value() | u.purposes.has_value() << 1 |
-                         u.objections.has_value() << 2 |
-                         u.shared_with.has_value() << 3 |
-                         u.origin.has_value() << 4 |
-                         u.expiry_micros.has_value() << 5);
+  uint8_t bits = uint8_t(
+      u.user.has_value() | u.purposes.has_value() << 1 |
+      u.objections.has_value() << 2 | u.shared_with.has_value() << 3 |
+      u.origin.has_value() << 4 | u.expiry_micros.has_value() << 5);
   c.U8(bits);
   const auto str = [&](auto& s) { c.Str(s); };
   const auto list = [&](auto& v) { c.List(v, str); };

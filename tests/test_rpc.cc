@@ -10,6 +10,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <string>
@@ -365,6 +366,32 @@ TEST(RpcSocket, WriteAllOnAnUnreadPeerGivesUpWithinItsBudget) {
   EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
   EXPECT_LT(elapsed_ms, 400);
   CloseFd(writer);
+}
+
+TEST(RpcSocket, WriteBudgetCoversTheWholeBufferNotEachWait) {
+  // A peer that drains a little before every wait must not stretch the
+  // budget: at most 1 MB per 100 ms, 8 MB needs 800 ms, far over 300 ms.
+  auto [writer, peer] = StreamPair();
+  ASSERT_GE(writer, 0);
+  std::atomic<bool> stop{false};
+  std::thread reader([&stop, fd = peer] {
+    std::vector<char> buf(1 << 20);
+    while (!stop.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      [[maybe_unused]] const ssize_t n = read(fd, buf.data(), buf.size());
+    }
+  });
+  const auto start = std::chrono::steady_clock::now();
+  const Status s = WriteAll(writer, std::string(8 << 20, 'x'), 300);
+  const auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+  stop.store(true);
+  reader.join();
+  CloseFd(writer);
+  CloseFd(peer);
+  EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
+  EXPECT_LT(elapsed_ms, 600);
 }
 
 TEST(RpcSocket, EveryFdTheLayerHandsOutIsNonBlocking) {

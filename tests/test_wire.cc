@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/coding.h"
 #include "common/random.h"
 #include "crypto/sha256.h"
 #include "net/wire.h"
@@ -670,6 +671,22 @@ TEST(WireMalformed, EveryTruncationDecodesCleanly) {
       (void)DecodeRequest(prefix, &req);  // must return, any verdict
     }
   }
+}
+
+TEST(WireMalformed, CorruptListCountCannotInflateTheAllocation) {
+  // A record list claiming one element per remaining byte passes the
+  // count check, but a record is ~200 bytes in memory: reserving the
+  // claimed count would ask for ~200x the frame (13 GB for a 64 MB one).
+  std::string payload;
+  payload.push_back(char(kWireVersion));
+  payload.push_back(char(uint8_t(WireOp::kScanRecords)));
+  payload.append(2, '\0');  // OK status, empty message
+  const uint64_t n = 100000;
+  PutVarint64(&payload, n);
+  payload.append(n, '\0');  // n empty blobs: none parses as a record
+  WireResponse resp;
+  EXPECT_TRUE(DecodeResponse(payload, &resp).IsDataLoss());
+  EXPECT_LE(resp.records.capacity() * sizeof(GdprRecord), payload.size());
 }
 
 TEST(WireMalformed, TrailingBytesAreRejected) {
